@@ -86,9 +86,11 @@ class RunReport:
 
 
 def _read_text(path: str) -> str:
-    if path == "-":
-        return sys.stdin.read()
-    return Path(path).read_text(encoding="utf-8")
+    data = sys.stdin.buffer.read() if path == "-" else Path(path).read_bytes()
+    try:
+        return data.decode("utf-8")
+    except UnicodeDecodeError as exc:
+        raise ParseError(f"input is not valid UTF-8 (byte {exc.start}: {exc.reason})") from None
 
 
 def _write_text(path: str | None, text: str) -> None:

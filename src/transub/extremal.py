@@ -100,15 +100,18 @@ def check_delta_balanced(r: Relation, p: VertexPartition, delta: float) -> Balan
     return balance_verdict(d.forward, d.backward, delta)
 
 
-def _cut_totals(adj: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Forward and backward cut sizes for every bipartition with vertex 1 in U
-    (one representative per unordered bipartition)."""
-    n = adj.shape[0]
-    forward = forward_cut_table(adj)
-    backward = forward_cut_table(adj.T)
-    masks = np.arange(1 << n, dtype=np.int64)
-    pick = (masks & 1) == 1
-    return forward[pick], backward[pick]
+def _balanced_fraction(adj: np.ndarray, k: int, delta: float) -> float:
+    """Fraction of the cuts of total size >= k that are delta-balanced, 1.0
+    when there is none; one representative per unordered bipartition (the
+    side masks with vertex 1 in U)."""
+    forward = forward_cut_table(adj)[1::2]
+    backward = forward_cut_table(adj.T)[1::2]
+    totals = forward + backward
+    large = totals >= k
+    if not large.any():
+        return 1.0
+    balanced = np.abs(forward - backward)[large] <= delta * totals[large] / 2
+    return float(balanced.sum() / large.sum())
 
 
 def check_k_delta_balanced(
@@ -125,13 +128,7 @@ def check_k_delta_balanced(
         raise BudgetError(
             f"{r.n} vertices exceeds the enumeration budget of {vertex_budget}"
         )
-    forward, backward = _cut_totals(r.adj)
-    totals = forward + backward
-    large = totals >= k
-    if not large.any():
-        return True
-    imbalance = np.abs(forward - backward)[large]
-    return bool(np.all(imbalance <= delta * totals[large] / 2))
+    return _balanced_fraction(r.adj, k, delta) == 1.0
 
 
 def random_orientation(g: UndirectedGraph, seed: int) -> Relation:
@@ -190,16 +187,8 @@ def run_balance_experiment(
     for t in range(trials):
         trial_seed = mix_seed(seed, t)
         oriented = random_orientation(g, trial_seed)
-        forward = forward_cut_table(oriented.adj)
-        max_dicut = int(forward.max())
-        fwd_half, bwd_half = _cut_totals(oriented.adj)
-        totals = fwd_half + bwd_half
-        large = totals >= k
-        if large.any():
-            balanced = np.abs(fwd_half - bwd_half)[large] <= delta * totals[large] / 2
-            fraction = float(balanced.sum() / large.sum())
-        else:
-            fraction = 1.0
+        max_dicut = int(forward_cut_table(oriented.adj).max())
+        fraction = _balanced_fraction(oriented.adj, k, delta)
         reports.append(
             TrialReport(
                 seed=trial_seed,

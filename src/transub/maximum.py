@@ -20,6 +20,7 @@ from .errors import BudgetError, TriangleFoundError
 from .relation import (
     Relation,
     UndirectedGraph,
+    _composition_walks,
     find_triangle,
     underlying_graph,
 )
@@ -131,50 +132,24 @@ def quarter_approx(r: Relation) -> Relation:
 # ---------------------------------------------------------------------------
 
 
-def _composition_constraints(r: Relation):
-    """Transitivity constraints over arc indices (row-major order).
-
-    For every two-arc walk ``(a, b), (b, c)`` whose forced arc ``(a, c)`` is
-    not one of the premises: if ``(a, c)`` exists its index is required
-    whenever both premises are chosen, otherwise the premise pair is
-    forbidden.  Encoded as (premise_bits, required_bits, last_index) with
-    required_bits == 0 meaning forbidden.
-    """
-    arcs = r.arcs()
-    index = {arc: i for i, arc in enumerate(arcs)}
-    by_source: dict[int, list[tuple[int, int]]] = {}
-    for arc in arcs:
-        by_source.setdefault(arc[0], []).append(arc)
-    constraints = []
-    for e1 in arcs:
-        a, b = e1
-        for e2 in by_source.get(b, ()):
-            _, c = e2
-            required = (a, c)
-            if required == e1 or required == e2:
-                continue  # satisfied whenever the premises hold
-            pre = (1 << index[e1]) | (1 << index[e2])
-            last = max(index[e1], index[e2])
-            if required in index:
-                req_bit = 1 << index[required]
-                last = max(last, index[required])
-            else:
-                req_bit = 0
-            constraints.append((pre, req_bit, last))
-    return arcs, constraints
-
-
 def brute_force_mts(r: Relation, arc_budget: int = DEFAULT_ARC_BUDGET) -> Relation:
     """Exact maximum transitive sub-relation by branch-and-bound over arc
     subsets; among maximum-size answers, the lexicographically smallest arc
-    set in row-major order is returned."""
+    set in row-major order is returned.
+
+    The constraints are the two-arc walks of ``relation._composition_walks``,
+    the same set the CNF encoder emits as clauses.  Each walk is checked once
+    its highest arc index has been decided, as premise and required bitmasks
+    (a required mask of 0 forbids the premise pair).
+    """
     if r.m > arc_budget:
         raise BudgetError(f"{r.m} arcs exceeds the enumeration budget of {arc_budget}")
-    arcs, constraints = _composition_constraints(r)
+    arcs, walks = _composition_walks(r)
     m = len(arcs)
     by_last: list[list[tuple[int, int]]] = [[] for _ in range(m)]
-    for pre, req, last in constraints:
-        by_last[last].append((pre, req))
+    for i1, i2, req in walks:
+        pre = (1 << i1) | (1 << i2)
+        by_last[max(i1, i2, req)].append((pre, 1 << req if req >= 0 else 0))
 
     best_size = 0
     best_mask = 0

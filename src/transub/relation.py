@@ -306,6 +306,33 @@ def is_triangle_free(g: UndirectedGraph) -> bool:
     return find_triangle(g) is None
 
 
+def _composition_walks(r: Relation) -> tuple[ArcList, list[tuple[int, int, int]]]:
+    """Row-major arcs and the transitivity constraint of every two-arc walk.
+
+    Each walk ``(a, b), (b, c)`` is an arc-index triple ``(i1, i2, req)``:
+    choosing both premises ``arcs[i1]`` and ``arcs[i2]`` requires the forced
+    arc ``(a, c)`` at index ``req``, or is forbidden when ``req == -1`` (the
+    forced arc is absent).  ``e1`` runs in row-major order and ``e2`` over the
+    successors of ``b`` in ascending order.  Walks whose forced arc is one of
+    the premises (``a == b`` or ``b == c``) are skipped: they hold whenever
+    the premises do.
+    """
+    arcs = r.arcs()
+    index = {arc: i for i, arc in enumerate(arcs)}
+    out_arcs: list[list[int]] = [[] for _ in range(r.n + 1)]
+    for i, (a, _) in enumerate(arcs):
+        out_arcs[a].append(i)
+    walks = []
+    for i1, (a, b) in enumerate(arcs):
+        if a == b:
+            continue
+        for i2 in out_arcs[b]:
+            c = arcs[i2][1]
+            if c != b:
+                walks.append((i1, i2, index.get((a, c), -1)))
+    return arcs, walks
+
+
 def has_path_length_two(r: Relation) -> bool:
     """True iff some vertex has both an incoming and an outgoing arc
     (endpoints of the two-step walk may coincide)."""

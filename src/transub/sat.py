@@ -1,12 +1,15 @@
 """CNF encoding whose max-ones solutions are maximum transitive subgraphs.
 
-One boolean variable per arc, numbered by row-major arc order.  For every
-two-arc walk ``(i, k), (k, j)`` whose forced arc ``(i, j)`` is distinct from
-both premises, a clause is emitted: ``(x_ij | ~x_ik | ~x_kj)`` when the forced
-arc exists in the relation, and the premise-only clause ``(~x_ik | ~x_kj)``
-when it does not (absent arcs are fixed false, which deletes their literals).
-Walks with a repeated endpoint are included, so satisfying assignments decode
-to transitive sub-relations even in the presence of loops and 2-cycles.
+One boolean variable per arc, numbered by row-major arc order, and one clause
+per two-arc walk ``(i, k), (k, j)`` whose forced arc ``(i, j)`` is distinct
+from both premises.  The walks, in order, come from
+``relation._composition_walks``, the constraint generator that
+``maximum.brute_force_mts`` searches over as well.  A walk emits
+``(x_ij | ~x_ik | ~x_kj)`` when the forced arc exists in the relation, and the
+premise-only clause ``(~x_ik | ~x_kj)`` when it does not (absent arcs are
+fixed false, which deletes their literals).  Walks with a repeated endpoint
+are included, so satisfying assignments decode to transitive sub-relations
+even in the presence of loops and 2-cycles.
 
 Every emitted clause keeps at least one negative literal, so the all-false
 assignment always satisfies the formula.
@@ -19,7 +22,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .errors import BudgetError
-from .relation import Arc, Relation
+from .relation import Arc, Relation, _composition_walks
 
 MAX_ONES_VAR_BUDGET = 24
 
@@ -44,24 +47,12 @@ class Assignment:
 
 
 def encode_mts_to_cnf(r: Relation) -> CnfFormula:
-    arcs = r.arcs()
-    var_of = {arc: i + 1 for i, arc in enumerate(arcs)}
-    adj = r.adj
-    n = r.n
-    clauses: list[list[int]] = []
-    for i in range(1, n + 1):
-        for k in range(1, n + 1):
-            if k == i or not adj[i - 1, k - 1]:
-                continue  # k == i forces (i, j) == (k, j): auto-satisfied
-            for j in range(1, n + 1):
-                if j == k or not adj[k - 1, j - 1]:
-                    continue  # j == k forces (i, j) == (i, k): auto-satisfied
-                premise = [-var_of[(i, k)], -var_of[(k, j)]]
-                if adj[i - 1, j - 1]:
-                    clauses.append([var_of[(i, j)]] + premise)
-                else:
-                    clauses.append(premise)
-    return CnfFormula(len(arcs), clauses, {v: arc for arc, v in var_of.items()})
+    arcs, walks = _composition_walks(r)
+    clauses = [
+        [req + 1, -(i1 + 1), -(i2 + 1)] if req >= 0 else [-(i1 + 1), -(i2 + 1)]
+        for i1, i2, req in walks
+    ]
+    return CnfFormula(len(arcs), clauses, {i + 1: arc for i, arc in enumerate(arcs)})
 
 
 def cnf_to_dimacs(f: CnfFormula) -> str:

@@ -2,7 +2,8 @@
 
 Oracles here deliberately avoid the library's code paths: transitivity by
 triple loop, closure by iterated squaring over bitmask rows, cuts by direct
-enumeration.  They are the second route of every dual-route check.
+enumeration, CNF clauses by a scan over every cell triple.  They are the
+second route of every dual-route check.
 """
 
 from __future__ import annotations
@@ -116,6 +117,28 @@ def oracle_max_transitive_size(r: Relation) -> int:
             if oracle_is_transitive(Relation.from_arcs(r.n, subset)):
                 return size
     return best
+
+
+def oracle_mts_clauses(r: Relation) -> list[list[int]]:
+    """Max-ones transitivity clauses by a scan over every matrix cell triple
+    ``(i, k, j)``, in the encoder's clause and literal order."""
+    var_of = {arc: v for v, arc in enumerate(r.arcs(), start=1)}
+    adj = r.adj
+    n = r.n
+    clauses: list[list[int]] = []
+    for i in range(1, n + 1):
+        for k in range(1, n + 1):
+            if k == i or not adj[i - 1, k - 1]:
+                continue  # k == i forces (i, j) == (k, j): auto-satisfied
+            for j in range(1, n + 1):
+                if j == k or not adj[k - 1, j - 1]:
+                    continue  # j == k forces (i, j) == (i, k): auto-satisfied
+                premise = [-var_of[(i, k)], -var_of[(k, j)]]
+                if adj[i - 1, j - 1]:
+                    clauses.append([var_of[(i, j)]] + premise)
+                else:
+                    clauses.append(premise)
+    return clauses
 
 
 def cut_edge_count(g: UndirectedGraph, u_vertices: set[int]) -> int:

@@ -1,4 +1,8 @@
+import io
 import json
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
@@ -12,6 +16,7 @@ from transub.cli import (
 )
 
 PATH_EDGE_LIST = "3 2\n1 2\n2 3\n"
+NOT_UTF8 = b"\xff\xfe3 2\n1 2\n2 3\n"
 CYCLE_EDGE_LIST = "3 3\n1 2\n2 3\n3 1\n"
 
 
@@ -120,6 +125,19 @@ class TestClosureAndCheck:
         assert "maximal:fail" in capsys.readouterr().err
 
 
+class TestInvalidUtf8:
+    def test_file_is_parse_error(self, tmp_path, capsys):
+        src = tmp_path / "bad.rel"
+        src.write_bytes(NOT_UTF8)
+        assert main(["check", "--input", str(src)]) == EXIT_PARSE
+        assert "UTF-8" in capsys.readouterr().err
+
+    def test_stdin_is_parse_error(self, monkeypatch, capsys):
+        monkeypatch.setattr(sys, "stdin", io.TextIOWrapper(io.BytesIO(NOT_UTF8)))
+        assert main(["check", "--input", "-"]) == EXIT_PARSE
+        assert "UTF-8" in capsys.readouterr().err
+
+
 class TestEncode:
     def test_path_dimacs(self, path_file, capsys):
         assert main(["encode", "--input", path_file]) == EXIT_OK
@@ -189,9 +207,6 @@ class TestBench:
 
 class TestEntryPoint:
     def test_module_invocation(self, tmp_path):
-        import subprocess
-        import sys
-
         src = tmp_path / "p.rel"
         src.write_text(PATH_EDGE_LIST)
         proc = subprocess.run(
@@ -201,3 +216,17 @@ class TestEntryPoint:
         )
         assert proc.returncode == 0
         assert proc.stdout == "3 1\n1 2\n"
+
+
+class TestScripts:
+    def test_balance_experiment_smoke(self):
+        root = Path(__file__).resolve().parents[1]
+        proc = subprocess.run(
+            [sys.executable, str(root / "scripts" / "balance_experiment.py"),
+             "--n", "8", "--m", "12", "--trials", "2", "--deltas", "0.5"],
+            capture_output=True,
+            text=True,
+            cwd=root,
+        )
+        assert proc.returncode == 0, proc.stderr
+        assert proc.stdout.startswith("graph: n=8 m=12 ")

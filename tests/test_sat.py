@@ -2,8 +2,15 @@ import itertools
 import random
 
 import pytest
+from hypothesis import given
 
-from helpers import all_relations, oracle_is_transitive, random_digraph
+from helpers import (
+    all_relations,
+    oracle_is_transitive,
+    oracle_mts_clauses,
+    random_digraph,
+    relations,
+)
 from transub import (
     Assignment,
     BudgetError,
@@ -64,6 +71,15 @@ class TestEncoding:
             # hence the all-false assignment always satisfies
             empty = decode_assignment(r, f, Assignment((False,) * f.num_vars))
             assert empty.m == 0
+
+    def test_clauses_match_cell_scan_oracle_n3_loops(self, suite_n3_loops):
+        # order-sensitive: DIMACS bytes depend on clause and literal order
+        for r in suite_n3_loops:
+            assert encode_mts_to_cnf(r).clauses == oracle_mts_clauses(r)
+
+    @given(relations(max_n=7))
+    def test_clauses_match_cell_scan_oracle(self, r):
+        assert encode_mts_to_cnf(r).clauses == oracle_mts_clauses(r)
 
     def test_variable_arc_bijection(self):
         rng = random.Random(29)
