@@ -9,6 +9,7 @@ from .errors import BudgetError, ParseError, PreconditionError, TriangleFoundErr
 from .relation import (
     Arc,
     ArcList,
+    DENSE_VERTEX_BUDGET,
     EDGE_LIST_FORMAT,
     MATRIX_FORMAT,
     Relation,

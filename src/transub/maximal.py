@@ -27,7 +27,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import PreconditionError
-from .relation import Arc, Relation, _warshall_inplace, is_subrelation, is_transitive
+from .relation import Arc, Relation, _bool_product, is_subrelation, is_transitive
 
 
 @dataclass(frozen=True)
@@ -136,38 +136,34 @@ def _require_transitive_sub(host: Relation, t: Relation) -> None:
 
 
 def is_maximal_transitive(host: Relation, t: Relation) -> bool:
-    """Naive maximality oracle: ``t`` is maximal in ``host`` iff no single host
-    arc can be added without the closure escaping ``host``."""
+    """True iff no arc of ``host`` outside ``t`` can join ``t`` transitively.
+
+    Closing transitive ``t`` plus ``(u, v)`` adds the block ``A(u) x B(v)``,
+    ``A(u) = {u} | pred(u)``, ``B(v) = {v} | succ(v)``; with ``P = t | I`` it
+    leaves ``host`` iff ``(P^T . ~host . P^T)[u, v]`` is nonzero.
+    """
     _require_transitive_sub(host, t)
-    host_adj = host.adj
-    base = t.adj
-    for u, v in host.arcs():
-        if base[u - 1, v - 1]:
-            continue
-        cand = base.copy()
-        cand[u - 1, v - 1] = True
-        _warshall_inplace(cand)
-        if not np.any(cand & ~host_adj):
-            return False
-    return True
+    pt = (t.adj | np.eye(t.n, dtype=bool)).T
+    escapes = _bool_product(pt, _bool_product(~host.adj, pt))
+    return not bool(np.any(host.adj & ~t.adj & ~escapes))
 
 
 def extend_to_maximal(host: Relation, t: Relation) -> Relation:
     """Grow ``t`` to a maximal transitive sub-relation of ``host``.
 
-    Host arcs outside the current set are tried in row-major order; an arc is
-    committed by replacing the set with the closure of set-plus-arc whenever
-    that closure stays inside ``host``, which keeps the running set transitive.
+    Host arcs outside the current set are tried in row-major order.  Closing
+    the current set plus ``(u, v)`` adds the block ``A(u) x B(v)``, as in
+    ``is_maximal_transitive``; the arc is committed by setting that block
+    whenever it lies inside ``host``, which keeps the running set transitive.
     """
     _require_transitive_sub(host, t)
-    host_adj = host.adj
     current = t.adj.copy()
-    for u, v in host.arcs():
-        if current[u - 1, v - 1]:
+    for u, v in np.argwhere(host.adj):
+        if current[u, v]:
             continue
-        cand = current.copy()
-        cand[u - 1, v - 1] = True
-        _warshall_inplace(cand)
-        if not np.any(cand & ~host_adj):
-            current = cand
+        a, b = current[:, u].copy(), current[v].copy()
+        a[u] = b[v] = True
+        block = np.ix_(a, b)
+        if host.adj[block].all():
+            current[block] = True
     return Relation(current)

@@ -12,13 +12,17 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import ParseError
+from .errors import BudgetError, ParseError
 
 Arc = tuple[int, int]
 ArcList = list[Arc]
 
 EDGE_LIST_FORMAT = "edge-list"
 MATRIX_FORMAT = "matrix"
+
+# Largest vertex count of an edge-list header.  Relations are dense matrices and
+# the boolean products of ``is_maximal_transitive`` peak near 17 bytes per cell.
+DENSE_VERTEX_BUDGET = 10000
 
 
 class Relation:
@@ -154,6 +158,8 @@ def parse_edge_list(text: str) -> Relation:
                 raise ParseError(f"vertex count must be at least 1, got {n}", lineno)
             if m_declared < 0:
                 raise ParseError(f"arc count must be non-negative, got {m_declared}", lineno)
+            if n > DENSE_VERTEX_BUDGET:
+                raise BudgetError(f"{n} vertices exceeds the dense limit of {DENSE_VERTEX_BUDGET}")
             continue
         if len(tokens) != 2:
             raise ParseError(f"arc line must be two integers 'u v': {line!r}", lineno)
@@ -193,8 +199,9 @@ def serialize_edge_list(r: Relation) -> str:
 
 
 def serialize_matrix(r: Relation) -> str:
-    rows = ["".join("1" if x else "0" for x in row) for row in r.adj]
-    return "\n".join(rows) + "\n"
+    text = np.full((r.n, r.n + 1), ord("\n"), dtype=np.uint8)
+    text[:, :-1] = r.adj.view(np.uint8) + ord("0")
+    return text.tobytes().decode("ascii")
 
 
 def detect_format(text: str) -> str:
@@ -240,34 +247,29 @@ def serialize_relation(r: Relation, fmt: str) -> str:
 # ---------------------------------------------------------------------------
 
 
-def _compose(adj: np.ndarray) -> np.ndarray:
-    # Boolean matrix square via float32 BLAS; exact since row sums stay < 2**24.
-    prod = adj.astype(np.float32) @ adj.astype(np.float32)
-    return prod > 0.5
+def _bool_product(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    # Boolean matrix product via float32 BLAS; exact since every inner sum is
+    # at most n < 2**24.  A shared operand is converted once.
+    fa = a.astype(np.float32)
+    fb = fa if b is a else b.astype(np.float32)
+    return (fa @ fb) > 0.5
 
 
 def is_transitive(r: Relation) -> bool:
     """True iff for all a, b, c (repeats allowed): a->b and b->c imply a->c."""
     adj = r.adj
-    return not bool(np.any(_compose(adj) & ~adj))
-
-
-def _warshall_inplace(adj: np.ndarray) -> np.ndarray:
-    # Pivot index outermost; inner two loops are vectorized as an outer product.
-    n = adj.shape[0]
-    for k in range(n):
-        adj |= adj[:, k : k + 1] & adj[k : k + 1, :]
-    return adj
+    return not bool(np.any(_bool_product(adj, adj) & ~adj))
 
 
 def transitive_closure(r: Relation) -> Relation:
-    """Smallest transitive relation containing ``r``.
+    """Smallest transitive relation containing ``r``, by Warshall's algorithm.
 
     Reachability by nonempty paths: ``(i, i)`` appears only when ``i`` lies on
     a directed cycle; no reflexive padding is added.
     """
     adj = r.adj.copy()
-    _warshall_inplace(adj)
+    for k in range(r.n):  # pivot outermost; the inner loops are one outer product
+        adj |= adj[:, k : k + 1] & adj[k : k + 1, :]
     return Relation(adj)
 
 

@@ -1,8 +1,9 @@
 """Independent oracles and generators shared across the test suite.
 
 Oracles here deliberately avoid the library's code paths: transitivity by
-triple loop, closure by iterated squaring over bitmask rows, cuts by direct
-enumeration, CNF clauses by a scan over every cell triple.  They are the
+triple loop, closure by iterated squaring over bitmask rows, maximality by one
+closure per candidate arc, cuts by direct enumeration, CNF clauses by a scan
+over every cell triple, the matrix format by a per-cell join.  They are the
 second route of every dual-route check.
 """
 
@@ -66,9 +67,12 @@ def oracle_is_transitive(r: Relation) -> bool:
 
 def oracle_closure_arcs(r: Relation) -> set[tuple[int, int]]:
     """Transitive closure by iterated squaring: R <- R | R.R until stable."""
-    n = r.n
+    return closure_of_arcs(r.n, r.arcs())
+
+
+def closure_of_arcs(n: int, arcs) -> set[tuple[int, int]]:
     rows = [0] * n
-    for u, v in r.arcs():
+    for u, v in arcs:
         rows[u - 1] |= 1 << (v - 1)
     while True:
         squared = []
@@ -90,6 +94,39 @@ def oracle_closure_arcs(r: Relation) -> set[tuple[int, int]]:
                 if (rows[i] >> j) & 1
             }
         rows = squared
+
+
+def oracle_is_maximal_transitive(host: Relation, t: Relation) -> bool:
+    """Maximality by closing ``t`` plus each host arc outside it: ``t`` is
+    maximal iff every such closure leaves the host."""
+    host_arcs = host.arcs()
+    inside = set(host_arcs)
+    base = set(t.arcs())
+    return not any(
+        closure_of_arcs(host.n, base | {arc}) <= inside
+        for arc in host_arcs
+        if arc not in base
+    )
+
+
+def oracle_extend_to_maximal(host: Relation, t: Relation) -> Relation:
+    """Try host arcs outside the running set in row-major order; commit an
+    arc by taking the closure of set-plus-arc when it stays inside the host."""
+    host_arcs = host.arcs()
+    inside = set(host_arcs)
+    current = set(t.arcs())
+    for arc in host_arcs:
+        if arc not in current:
+            closure = closure_of_arcs(host.n, current | {arc})
+            if closure <= inside:
+                current = closure
+    return Relation.from_arcs(host.n, current)
+
+
+def oracle_serialize_matrix(r: Relation) -> str:
+    rows = ["".join("1" if r.has_arc(i, j) else "0" for j in range(1, r.n + 1))
+            for i in range(1, r.n + 1)]
+    return "\n".join(rows) + "\n"
 
 
 def oracle_forward_counts(r: Relation) -> list[int]:

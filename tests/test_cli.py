@@ -6,7 +6,7 @@ from pathlib import Path
 
 import pytest
 
-from transub import parse_edge_list
+from transub import DENSE_VERTEX_BUDGET, parse_edge_list
 from transub.cli import (
     EXIT_BUDGET,
     EXIT_CHECK_FAILED,
@@ -136,6 +136,15 @@ class TestInvalidUtf8:
         monkeypatch.setattr(sys, "stdin", io.TextIOWrapper(io.BytesIO(NOT_UTF8)))
         assert main(["check", "--input", "-"]) == EXIT_PARSE
         assert "UTF-8" in capsys.readouterr().err
+
+
+class TestHugeHeader:
+    def test_budget_exit_states_limit(self, tmp_path, capsys):
+        src = tmp_path / "huge.rel"
+        src.write_text("1000000 0\n")
+        assert main(["check", "--input", str(src)]) == EXIT_BUDGET
+        err = capsys.readouterr().err
+        assert "1000000 vertices" in err and str(DENSE_VERTEX_BUDGET) in err
 
 
 class TestEncode:

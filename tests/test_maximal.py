@@ -4,7 +4,14 @@ import random
 import pytest
 from hypothesis import given, settings
 
-from helpers import all_relations, oracle_is_transitive, random_digraph, relations
+from helpers import (
+    all_relations,
+    oracle_extend_to_maximal,
+    oracle_is_maximal_transitive,
+    oracle_is_transitive,
+    random_digraph,
+    relations,
+)
 from transub import (
     PreconditionError,
     Relation,
@@ -170,3 +177,34 @@ class TestExtendToMaximal:
         assert is_subrelation(result, host)
         assert is_transitive(result)
         assert is_maximal_transitive(host, result)
+
+
+class TestClosureOracles:
+    """The closed forms against one closure per candidate arc."""
+
+    @staticmethod
+    def assert_matches_oracles(host, t):
+        assert is_maximal_transitive(host, t) == oracle_is_maximal_transitive(host, t)
+        assert extend_to_maximal(host, t) == oracle_extend_to_maximal(host, t)
+
+    def test_exhaustive_n3_with_loops(self):
+        # relation index == arc mask, so t is inside host iff t & ~host == 0
+        rels = all_relations(3, loops=True)
+        transitive = [mask for mask, r in enumerate(rels) if oracle_is_transitive(r)]
+        pairs = 0
+        for h, host in enumerate(rels):
+            for t in transitive:
+                if not t & ~h:
+                    self.assert_matches_oracles(host, rels[t])
+                    pairs += 1
+        assert pairs == 11017
+
+    @settings(max_examples=100)
+    @given(relations(max_n=8))
+    def test_random_hosts(self, host):
+        out, _ = maximal_transitive_v2(host)
+        arcs = out.arcs()
+        shrunk = Relation.from_arcs(host.n, arcs[:-1])
+        for t in (out, shrunk, Relation.empty(host.n)):
+            if is_transitive(t):
+                self.assert_matches_oracles(host, t)

@@ -1,15 +1,18 @@
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 
 from helpers import (
     all_relations,
     oracle_closure_arcs,
     oracle_is_transitive,
+    oracle_serialize_matrix,
     ordered_pairs,
     relations,
 )
 from transub import (
+    DENSE_VERTEX_BUDGET,
+    BudgetError,
     ParseError,
     Relation,
     UndirectedGraph,
@@ -96,6 +99,12 @@ class TestEdgeListParsing:
         with pytest.raises(ParseError, match="header"):
             parse_edge_list("# nothing\n")
 
+    def test_header_over_dense_budget(self):
+        # the benchmark's largest input has 8000 vertices
+        assert DENSE_VERTEX_BUDGET >= 8000
+        with pytest.raises(BudgetError, match=str(DENSE_VERTEX_BUDGET)):
+            parse_edge_list(f"{DENSE_VERTEX_BUDGET + 1} 0\n")
+
 
 class TestMatrixParsing:
     def test_basic(self):
@@ -123,6 +132,15 @@ class TestSerialization:
 
     def test_matrix_layout(self):
         assert serialize_matrix(rel(2, [(1, 2)])) == "01\n00\n"
+
+    @settings(max_examples=60)
+    @given(relations())
+    @example(rel(1, []))
+    @example(rel(1, [(1, 1)]))
+    def test_matrix_matches_per_cell_join(self, r):
+        # the transposed copy keeps column-major storage
+        for s in (r, Relation(r.adj.T)):
+            assert serialize_matrix(s) == oracle_serialize_matrix(s)
 
     @settings(max_examples=60)
     @given(relations())
