@@ -3,10 +3,11 @@
 Exact routines are enumeration-based and budgeted so the worst case stays
 around 10^7 candidate checks: ``brute_force_mts`` searches arc subsets (default
 budget 22 arcs) and ``brute_force_max_dicut`` scores every vertex bipartition
-(default budget 20 vertices) through a half-split table.  ``quarter_approx``
-keeps the heavier direction of a greedy cut and always returns a transitive
-arc set of size at least m/4.  All tie-breaks are deterministic so results are
-reproducible bit for bit.
+(default budget 20 vertices) through the forward cut table, a few float32
+products of half-mask side-bit matrices with blocks of the adjacency matrix.
+``quarter_approx`` keeps the heavier direction of a greedy cut of the
+adjacency matrix and always returns a transitive arc set of size at least m/4.
+All tie-breaks are deterministic so results are reproducible bit for bit.
 """
 
 from __future__ import annotations
@@ -97,6 +98,18 @@ def forward_arcs(r: Relation, p: VertexPartition) -> Relation:
     return Relation(r.adj & np.outer(u, ~u))
 
 
+def _greedy_sides(sym: np.ndarray) -> np.ndarray:
+    # Side vector (True = U) of the greedy cut of a symmetric adjacency matrix;
+    # only the entries below the diagonal are read.
+    u = np.zeros(sym.shape[0], dtype=bool)
+    for v in range(len(u)):
+        placed = sym[v, :v]
+        # U when placed neighbors in V (all placed minus those in U) are at
+        # least those in U; ties go to U
+        u[v] = np.count_nonzero(placed) >= 2 * np.count_nonzero(placed & u[:v])
+    return u
+
+
 def greedy_bipartition(g: UndirectedGraph) -> VertexPartition:
     """One-pass greedy cut of size at least m/2.
 
@@ -104,14 +117,10 @@ def greedy_bipartition(g: UndirectedGraph) -> VertexPartition:
     that maximizes edges to the opposite side among already-placed neighbors,
     with ties resolved to U.
     """
-    nbrs = g.neighbor_sets()
-    side: list[str] = []
-    for v in range(1, g.n + 1):
-        placed_u = sum(1 for w in nbrs[v] if w < v and side[w - 1] == U_SIDE)
-        placed_v = sum(1 for w in nbrs[v] if w < v and side[w - 1] == V_SIDE)
-        # across(U) = placed neighbors in V and vice versa; ties go to U
-        side.append(U_SIDE if placed_v >= placed_u else V_SIDE)
-    return VertexPartition(tuple(side))
+    sym = np.zeros((g.n, g.n), dtype=bool)
+    for u, v in g.edges:
+        sym[u - 1, v - 1] = sym[v - 1, u - 1] = True
+    return VertexPartition(tuple(U_SIDE if s else V_SIDE for s in _greedy_sides(sym)))
 
 
 def quarter_approx(r: Relation) -> Relation:
@@ -119,12 +128,10 @@ def quarter_approx(r: Relation) -> Relation:
     graph, then keep every arc of the heavier direction across the cut (ties
     go to the forward, U-to-V, direction).  The result lies within one
     direction of a cut, so it contains no directed path of length two."""
-    p = greedy_bipartition(underlying_graph(r))
-    d = dicut_size(r, p)
-    if d.forward >= d.backward:
-        return forward_arcs(r, p)
-    u = _u_vector(p)
-    return Relation(r.adj & np.outer(~u, u))
+    u = _greedy_sides(r.adj | r.adj.T)
+    forward = r.adj & np.outer(u, ~u)
+    backward = r.adj & np.outer(~u, u)
+    return Relation(forward if forward.sum() >= backward.sum() else backward)
 
 
 # ---------------------------------------------------------------------------
@@ -188,62 +195,33 @@ def brute_force_mts(r: Relation, arc_budget: int = DEFAULT_ARC_BUDGET) -> Relati
 # ---------------------------------------------------------------------------
 
 
-def _popcount_table(size: int, width: int) -> np.ndarray:
-    table = np.zeros(size, dtype=np.int32)
-    values = np.arange(size, dtype=np.int32)
-    for shift in range(width):
-        table += (values >> shift) & 1
-    return table
+def _side_bits(h: int) -> np.ndarray:
+    # Row ``mask`` holds the 0/1 side bits of a half-mask: column v is 1 when
+    # vertex v of the half is in U.
+    return ((np.arange(1 << h)[:, None] >> np.arange(h)) & 1).astype(np.float32)
 
 
 def forward_cut_table(adj: np.ndarray) -> np.ndarray:
     """Forward cut size for every vertex bipartition.
 
     Entry ``mask`` (bit v set means vertex v+1 is in U) counts arcs from U to
-    V.  Vertices are split into two halves so the table is assembled from
-    half-mask outer products instead of a per-mask scan.
+    V.  Vertices split into a low half ``a`` (``h`` bits) and a high half
+    ``b``, with side-bit matrices ``X_a`` and ``X_b``.  Arcs within a half
+    count as the row sums of ``(X . A) * (1 - X)``, and the arcs between the
+    halves as ``[X_b . A_ba, (1 - X_b) . A_ab^T] . [1 - X_a, X_a]^T``, laid out
+    ``[mask_b, mask_a]`` so that the C-order ravel is indexed by
+    ``mask_a | mask_b << h``.  Loops fall on the diagonal, where
+    ``X * (1 - X)`` is zero.  float32 is exact: every count is at most
+    n^2 < 2^24.
     """
     n = adj.shape[0]
     h = (n + 1) // 2
-    h2 = n - h
-    size_a, size_b = 1 << h, 1 << h2
-    masks_a = np.arange(size_a, dtype=np.int32)
-    masks_b = np.arange(size_b, dtype=np.int32)
-
-    faa = np.zeros(size_a, dtype=np.int32)
-    fbb = np.zeros(size_b, dtype=np.int32)
-    out_b = [0] * h  # targets in the high half, per low-half source
-    out_a = [0] * max(h2, 1)  # targets in the low half, per high-half source
-    for u0, v0 in np.argwhere(adj):
-        u, v = int(u0), int(v0)
-        if u == v:
-            continue  # loops never cross a cut
-        if u < h and v < h:
-            faa += ((masks_a >> u) & 1) & (~(masks_a >> v) & 1)
-        elif u >= h and v >= h:
-            fbb += ((masks_b >> (u - h)) & 1) & (~(masks_b >> (v - h)) & 1)
-        elif u < h:
-            out_b[u] |= 1 << (v - h)
-        else:
-            out_a[u - h] |= 1 << v
-
-    pop_a = _popcount_table(size_a, h)
-    pop_b = _popcount_table(size_b, max(h2, 1))
-    cross = np.zeros((size_a, size_b), dtype=np.int32)
-    for u in range(h):
-        if out_b[u]:
-            in_u = ((masks_a >> u) & 1).astype(np.int32)
-            hits = pop_b[(~masks_b & (size_b - 1)) & out_b[u]]
-            cross += np.multiply.outer(in_u, hits)
-    for w in range(h2):
-        if out_a[w]:
-            in_u = ((masks_b >> w) & 1).astype(np.int32)
-            hits = pop_a[(~masks_a & (size_a - 1)) & out_a[w]]
-            cross += np.multiply.outer(hits, in_u)
-
-    total = faa[:, None] + fbb[None, :] + cross
-    # flatten so that mask = mask_a | (mask_b << h)
-    return np.ravel(total, order="F")
+    a = adj.astype(np.float32)
+    xa, xb = _side_bits(h), _side_bits(n - h)
+    same_a = ((xa @ a[:h, :h]) * (1 - xa)).sum(axis=1)
+    same_b = ((xb @ a[h:, h:]) * (1 - xb)).sum(axis=1)
+    cross = np.hstack([xb @ a[h:, :h], (1 - xb) @ a[:h, h:].T]) @ np.hstack([1 - xa, xa]).T
+    return (cross + same_a + same_b[:, None]).astype(np.int32).ravel()
 
 
 def _partition_from_mask(mask: int, n: int) -> VertexPartition:

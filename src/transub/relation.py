@@ -120,14 +120,6 @@ class UndirectedGraph:
     def sorted_edges(self) -> list[Arc]:
         return sorted(self.edges)
 
-    def neighbor_sets(self) -> list[set[int]]:
-        """Neighbor sets indexed 1..n (index 0 unused)."""
-        nbrs: list[set[int]] = [set() for _ in range(self.n + 1)]
-        for u, v in self.edges:
-            nbrs[u].add(v)
-            nbrs[v].add(u)
-        return nbrs
-
 
 # ---------------------------------------------------------------------------
 # Parsing and serialization

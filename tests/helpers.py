@@ -2,9 +2,9 @@
 
 Oracles here deliberately avoid the library's code paths: transitivity by
 triple loop, closure by iterated squaring over bitmask rows, maximality by one
-closure per candidate arc, cuts by direct enumeration, CNF clauses by a scan
-over every cell triple, the matrix format by a per-cell join.  They are the
-second route of every dual-route check.
+closure per candidate arc, cuts by direct enumeration, the greedy cut by
+neighbor sets, CNF clauses by a scan over every cell triple, the matrix format
+by a per-cell join.  They are the second route of every dual-route check.
 """
 
 from __future__ import annotations
@@ -141,6 +141,31 @@ def oracle_forward_counts(r: Relation) -> list[int]:
         )
         for mask in range(1 << n)
     ]
+
+
+def oracle_greedy_bipartition(g: UndirectedGraph) -> tuple[str, ...]:
+    """Greedy cut by neighbor sets: vertices in ascending order, each to the
+    side opposite most of its placed neighbors, ties to U; returns the labels."""
+    nbrs: list[set[int]] = [set() for _ in range(g.n + 1)]
+    for u, v in g.edges:
+        nbrs[u].add(v)
+        nbrs[v].add(u)
+    side: list[str] = []
+    for v in range(1, g.n + 1):
+        placed_u = sum(1 for w in nbrs[v] if w < v and side[w - 1] == "U")
+        placed_v = sum(1 for w in nbrs[v] if w < v and side[w - 1] == "V")
+        side.append("U" if placed_v >= placed_u else "V")
+    return tuple(side)
+
+
+def oracle_quarter_approx(r: Relation) -> Relation:
+    """Greedy cut of the underlying graph, then the arcs of the heavier
+    direction across it, ties to U-to-V."""
+    graph = UndirectedGraph.from_edges(r.n, [(a, b) for a, b in r.arcs() if a != b])
+    side = oracle_greedy_bipartition(graph)
+    forward = [(a, b) for a, b in r.arcs() if side[a - 1] == "U" and side[b - 1] == "V"]
+    backward = [(a, b) for a, b in r.arcs() if side[a - 1] == "V" and side[b - 1] == "U"]
+    return Relation.from_arcs(r.n, forward if len(forward) >= len(backward) else backward)
 
 
 def oracle_max_transitive_size(r: Relation) -> int:

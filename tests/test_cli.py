@@ -5,8 +5,10 @@ import sys
 from pathlib import Path
 
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
-from transub import DENSE_VERTEX_BUDGET, parse_edge_list
+from transub import DENSE_VERTEX_BUDGET, BudgetError, ParseError, parse_edge_list, parse_relation
 from transub.cli import (
     EXIT_BUDGET,
     EXIT_CHECK_FAILED,
@@ -124,6 +126,17 @@ class TestClosureAndCheck:
         assert main(["check", "--input", path_file, "--sub", str(sub)]) == EXIT_CHECK_FAILED
         assert "maximal:fail" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("candidate, checks", [
+        ("3 1\n1 3\n", "contained:fail,transitive:pass,maximal:fail"),
+        ("3 2\n1 2\n2 3\n", "contained:pass,transitive:fail,maximal:fail"),
+        ("2 1\n1 2\n", "contained:fail,transitive:pass,maximal:fail"),
+    ])
+    def test_check_sub_rejected_precondition(self, path_file, tmp_path, capsys, candidate, checks):
+        sub = tmp_path / "sub.rel"
+        sub.write_text(candidate)
+        assert main(["check", "--input", path_file, "--sub", str(sub)]) == EXIT_CHECK_FAILED
+        assert f"checks={checks} " in capsys.readouterr().err
+
 
 class TestInvalidUtf8:
     def test_file_is_parse_error(self, tmp_path, capsys):
@@ -136,6 +149,24 @@ class TestInvalidUtf8:
         monkeypatch.setattr(sys, "stdin", io.TextIOWrapper(io.BytesIO(NOT_UTF8)))
         assert main(["check", "--input", "-"]) == EXIT_PARSE
         assert "UTF-8" in capsys.readouterr().err
+
+
+class TestFuzzedInput:
+    @settings(max_examples=60)
+    @given(st.one_of(st.binary(max_size=40), st.text(alphabet="012 \n#", max_size=30).map(str.encode)))
+    @example(NOT_UTF8)
+    @example(b"2 1\n1 2\n")
+    def test_exit_status_follows_parse_verdict(self, tmp_path_factory, data):
+        src = tmp_path_factory.getbasetemp() / "fuzz.rel"
+        src.write_bytes(data)
+        try:
+            parse_relation(data.decode("utf-8"))
+            expected = {EXIT_OK, EXIT_CHECK_FAILED}
+        except (UnicodeDecodeError, ParseError):
+            expected = {EXIT_PARSE}
+        except BudgetError:
+            expected = {EXIT_BUDGET}
+        assert main(["check", "--input", str(src)]) in expected
 
 
 class TestHugeHeader:

@@ -1,13 +1,16 @@
 import random
 
+import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 
 from helpers import (
     all_relations,
     cut_edge_count,
     oracle_forward_counts,
+    oracle_greedy_bipartition,
     oracle_max_transitive_size,
+    oracle_quarter_approx,
     random_digraph,
     relations,
     undirected_graphs,
@@ -22,6 +25,7 @@ from transub import (
     brute_force_mts,
     dicut_as_transitive,
     dicut_size,
+    forward_cut_table,
     greedy_bipartition,
     has_path_length_two,
     is_subrelation,
@@ -110,6 +114,10 @@ class TestGreedyBipartition:
         p = greedy_bipartition(g)
         assert 2 * cut_edge_count(g, p.u_vertices()) >= g.m
 
+    @given(undirected_graphs(max_n=12))
+    def test_matches_neighbor_set_oracle(self, g):
+        assert greedy_bipartition(g).side == oracle_greedy_bipartition(g)
+
 
 class TestDicutSize:
     def test_examples(self):
@@ -152,6 +160,32 @@ class TestQuarterApprox:
     def test_quarter_bound_exhaustive_n3(self):
         for r in all_relations(3, loops=False):
             assert 4 * quarter_approx(r).m >= r.m
+
+    @settings(max_examples=80)
+    @given(relations(max_n=8))
+    @example(rel(3, [(1, 1), (1, 2), (2, 1), (2, 3), (3, 2), (3, 3)]))
+    @example(rel(3, [(2, 1), (2, 2), (3, 1)]))  # the backward direction is heavier
+    def test_matches_oracle_route(self, r):
+        assert quarter_approx(r) == oracle_quarter_approx(r)
+
+
+class TestForwardCutTable:
+    @staticmethod
+    def check(r):
+        # the transpose is the non-contiguous view the balance scan passes
+        for adj in (r.adj, r.adj.T):
+            table = forward_cut_table(adj)
+            assert table.dtype == np.int32 and table.shape == (1 << r.n,)
+            assert table.tolist() == oracle_forward_counts(Relation(adj))
+
+    def test_matches_oracle_exhaustive_n3(self, suite_n3_loops):
+        for r in suite_n3_loops:
+            self.check(r)
+
+    @settings(max_examples=60)
+    @given(relations(max_n=9))
+    def test_matches_oracle(self, r):
+        self.check(r)
 
 
 class TestBruteForceMaxDicut:

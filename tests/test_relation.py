@@ -1,6 +1,7 @@
 import numpy as np
 import pytest
 from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from helpers import (
     all_relations,
@@ -27,6 +28,7 @@ from transub import (
     parse_relation,
     serialize_edge_list,
     serialize_matrix,
+    serialize_relation,
     transitive_closure,
     underlying_graph,
 )
@@ -161,6 +163,19 @@ class TestSerialization:
     def test_parse_relation_reports_format(self):
         r, fmt = parse_relation("10\n01\n")
         assert fmt == "matrix" and r.m == 2
+
+    # Arbitrary text, and text from the alphabet of both formats so that
+    # some documents parse.
+    @settings(max_examples=150)
+    @given(st.one_of(st.text(max_size=40), st.text(alphabet="0123 \t\r\n#", max_size=40)))
+    @example("1 0\n")
+    @example("01\n10\n")
+    def test_fuzz_parses_or_raises_input_error(self, text):
+        try:
+            r, fmt = parse_relation(text)
+        except (ParseError, BudgetError):
+            return
+        assert parse_relation(serialize_relation(r, fmt)) == (r, fmt)
 
 
 class TestTransitivity:
