@@ -143,8 +143,11 @@ def is_maximal_transitive(host: Relation, t: Relation) -> bool:
     leaves ``host`` iff ``(P^T . ~host . P^T)[u, v]`` is nonzero.
     """
     _require_transitive_sub(host, t)
-    pt = (t.adj | np.eye(t.n, dtype=bool)).T
-    escapes = _bool_product(pt, _bool_product(~host.adj, pt))
+    pt = (t.adj | np.eye(t.n, dtype=bool)).astype(np.float32).T
+    not_host = np.subtract(1, host.adj, dtype=np.float32)
+    inner = _bool_product(not_host, pt)
+    del not_host  # the second product needs the room
+    escapes = _bool_product(pt, inner)
     return not bool(np.any(host.adj & ~t.adj & ~escapes))
 
 

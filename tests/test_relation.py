@@ -11,6 +11,7 @@ from helpers import (
     ordered_pairs,
     relations,
 )
+from transub import relation
 from transub import (
     DENSE_VERTEX_BUDGET,
     BudgetError,
@@ -191,6 +192,99 @@ class TestTransitivity:
     @given(relations())
     def test_matches_triple_loop_oracle(self, r):
         assert is_transitive(r) == oracle_is_transitive(r)
+
+
+# Chunk sizes of the walk enumeration: one first arc per chunk, a few first
+# arcs (boundaries inside and between rows), and the default.
+WALK_CHUNKS = [1, 3, relation._WALK_CHUNK]
+
+
+def walk_routes(r):
+    """Verdicts of the walk route, called directly, under each chunk size."""
+    verdicts = []
+    for chunk in WALK_CHUNKS:
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(relation, "_WALK_CHUNK", chunk)
+            verdicts.append(relation._transitive_by_walks(r.adj))
+    return verdicts
+
+
+def walk_count(r):
+    adj = r.adj.astype(np.int64)
+    return int(adj.sum(axis=0) @ adj.sum(axis=1))
+
+
+class TestTransitivityByWalks:
+    def test_all_relations_on_three_vertices(self, suite_n3_loops):
+        for r in suite_n3_loops:
+            assert walk_routes(r) == [oracle_is_transitive(r)] * len(WALK_CHUNKS), r.arcs()
+
+    @given(relations(max_n=9))
+    def test_matches_triple_loop_oracle(self, r):
+        assert walk_routes(r) == [oracle_is_transitive(r)] * len(WALK_CHUNKS)
+
+    @pytest.mark.parametrize("chunk", WALK_CHUNKS)
+    @given(relations(max_n=7))
+    def test_walk_order(self, chunk, r):
+        # row-major first arc, then the successors of its head in ascending order
+        arcs = r.arcs()
+        expected = [(i1, i2) for i1, (_, b) in enumerate(arcs)
+                    for i2, (b2, _) in enumerate(arcs) if b2 == b]
+        src, dst = np.nonzero(r.adj)
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(relation, "_WALK_CHUNK", chunk)
+            chunks = list(relation._two_arc_walks(src, dst, r.n))
+        walks = [(int(i1), int(i2)) for c1, c2 in chunks for i1, i2 in zip(c1, c2)]
+        assert walks == expected
+
+    @pytest.mark.parametrize("loops", [False, True])
+    def test_cut_forward_arcs_scan_every_walk(self, loops):
+        # no arc enters the source side; with loops, every walk passes a loop
+        side = np.arange(12) % 3 == 0
+        r = Relation(np.outer(side, ~side) | np.eye(12, dtype=bool) * loops)
+        assert (walk_count(r) > r.m) == loops
+        assert walk_routes(r) == [True] * len(WALK_CHUNKS)
+
+    @pytest.mark.parametrize("loops", [False, True])
+    def test_dag_closure_scans_every_walk(self, loops):
+        dag = rel(9, [(1, 2), (2, 3), (2, 4), (3, 5), (4, 5), (5, 6), (6, 7), (6, 8), (8, 9)]
+                  + [(v, v) for v in range(1, 10) if loops])
+        closed = transitive_closure(dag)
+        assert walk_count(closed) > closed.m
+        assert walk_routes(closed) == [True] * len(WALK_CHUNKS)
+        # only the walk 6->8->9, late in row-major order, forces (6, 9)
+        adj = closed.adj.copy()
+        adj[5, 8] = False
+        assert walk_routes(Relation(adj)) == [False] * len(WALK_CHUNKS)
+
+    def test_sparse_input_takes_the_walk_route(self, monkeypatch):
+        def no_product(a, b):
+            raise AssertionError("float32 product on a sparse input")
+
+        monkeypatch.setattr(relation, "_bool_product", no_product)
+        n = 2000
+        rng = np.random.default_rng(2000)
+        adj = np.zeros((n, n), dtype=bool)
+        adj[rng.integers(0, n, 4 * n), rng.integers(0, n, 4 * n)] = True
+        assert not is_transitive(Relation(adj))
+        side = np.arange(n) < 3
+        assert is_transitive(Relation(np.outer(side, ~side)))
+
+    def test_dense_input_takes_the_product_route(self, monkeypatch):
+        calls = []
+        product = relation._bool_product
+
+        def counted(a, b):
+            calls.append(a.shape)
+            return product(a, b)
+
+        monkeypatch.setattr(relation, "_bool_product", counted)
+        rng = np.random.default_rng(200)
+        r = Relation(rng.random((200, 200)) < 0.5)
+        assert not is_transitive(r)
+        closed = transitive_closure(r)
+        assert is_transitive(closed)
+        assert calls == [(200, 200)] * 2
 
 
 class TestTransitiveClosure:
