@@ -1,8 +1,8 @@
 """Transitive subgraph toolkit for binary relations.
 
-Core objects are immutable: relations as dense boolean matrices, undirected
-graphs as edge sets, partitions as label tuples.  See the CLI module for the
-command-line surface.
+Core objects are immutable: relations as boolean matrices or sorted arc
+arrays (whichever they were built from), undirected graphs as edge sets,
+partitions as label tuples.  See the CLI module for the command-line surface.
 """
 
 from .errors import BudgetError, ParseError, PreconditionError, TriangleFoundError

@@ -5,8 +5,9 @@ around 10^7 candidate checks: ``brute_force_mts`` searches arc subsets (default
 budget 22 arcs) and ``brute_force_max_dicut`` scores every vertex bipartition
 (default budget 20 vertices) through the forward cut table, a few float32
 products of half-mask side-bit matrices with blocks of the adjacency matrix.
-``quarter_approx`` keeps the heavier direction of a greedy cut of the
-adjacency matrix and always returns a transitive arc set of size at least m/4.
+``quarter_approx`` keeps the heavier direction of a greedy cut, taken on the
+adjacency matrix or, for sparse relations, on neighbour lists, and always
+returns a transitive arc set of size at least m/4.
 All tie-breaks are deterministic so results are reproducible bit for bit.
 """
 
@@ -22,6 +23,7 @@ from .relation import (
     Relation,
     UndirectedGraph,
     _composition_walks,
+    _is_sparse,
     find_triangle,
     underlying_graph,
 )
@@ -123,11 +125,38 @@ def greedy_bipartition(g: UndirectedGraph) -> VertexPartition:
     return VertexPartition(tuple(U_SIDE if s else V_SIDE for s in _greedy_sides(sym)))
 
 
+def _quarter_by_arcs(r: Relation) -> Relation:
+    # ``quarter_approx`` on the arcs: the greedy cut of ``_greedy_sides`` over
+    # lists of lower neighbours (w < v) instead of matrix rows, then the
+    # heavier direction kept by masking the arcs.
+    n = r.n
+    src, dst = r._arc_arrays()
+    cross = src != dst
+    edges = np.unique(np.maximum(src, dst)[cross] * n + np.minimum(src, dst)[cross])
+    bounds = np.searchsorted(edges, np.arange(n + 1) * n).tolist()  # edges sort by v
+    lower = (edges % n).tolist()
+    side = [False] * n
+    for v in range(n):
+        placed = lower[bounds[v] : bounds[v + 1]]
+        side[v] = len(placed) >= 2 * sum(map(side.__getitem__, placed))
+    u = np.array(side)
+    forward = u[src] & ~u[dst]
+    backward = u[dst] & ~u[src]
+    keep = forward if np.count_nonzero(forward) >= np.count_nonzero(backward) else backward
+    return Relation._from_arc_arrays(n, src[keep], dst[keep])
+
+
 def quarter_approx(r: Relation) -> Relation:
     """Transitive subgraph of size >= m/4: greedily bipartition the underlying
     graph, then keep every arc of the heavier direction across the cut (ties
     go to the forward, U-to-V, direction).  The result lies within one
-    direction of a cut, so it contains no directed path of length two."""
+    direction of a cut, so it contains no directed path of length two.
+
+    Sparse relations (``relation._is_sparse``) run the greedy over lower
+    neighbour lists and keep the heavier direction by masking their arcs.
+    """
+    if _is_sparse(r):
+        return _quarter_by_arcs(r)
     u = _greedy_sides(r.adj | r.adj.T)
     forward = r.adj & np.outer(u, ~u)
     backward = r.adj & np.outer(~u, u)

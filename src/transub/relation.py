@@ -1,16 +1,22 @@
-"""Binary relations as dense boolean matrices, plus digraph predicates and file formats.
+"""Binary relations in two views, plus digraph predicates and file formats.
 
-A relation on ``{1..n}`` is stored as an n-by-n boolean adjacency matrix;
-``adj[i][j]`` (0-based internally) records whether the arc ``(i+1, j+1)`` is
-present.  Loops are permitted and count toward the arc total ``m``.  All values
-are immutable once constructed and safe to share across threads.
+A relation on ``{1..n}`` has two views: the n-by-n boolean adjacency matrix
+``adj`` (``adj[i][j]``, 0-based, records the arc ``(i+1, j+1)``), and the
+row-major 0-based ``src``/``dst`` index arrays of its distinct arcs.  A
+relation holds the view it was built from, so parsing an edge list allocates
+no n^2 cells, and builds the other view on first use.  Loops are permitted
+and count toward the arc total ``m``.  All values are immutable once
+constructed; two threads that build the same missing view at once store equal
+arrays, so relations are safe to share across threads.
 
-Transitivity is checked by the cheaper of two routes, picked from the input:
-walking all W two-arc walks ``a->b->c`` (W = sum over b of indeg * outdeg,
-at most nm) in O(n^2 + W) time, or squaring the matrix as one float32 product
-in O(n^3); the walks are taken when ``_WALK_COST * W < n^3``.  The same walk
-enumeration, ``_two_arc_walks``, yields the CNF and branch-and-bound
-constraints of ``_composition_walks``.
+Routes that have both a matrix and an arc form pick one from n and m alone,
+never from the view held: the maximal v2 sweep and ``quarter_approx`` run on
+the arcs when ``_DENSE_RATIO * m < n^2``.  Transitivity is checked by the
+cheaper of two routes: walking all W two-arc walks ``a->b->c`` (W = sum over b
+of indeg * outdeg, at most nm) in O(n + m + W log m) time, or squaring the
+matrix as one float32 product in O(n^3); the walks are taken when
+``_WALK_COST * W < n^3``.  The same walk enumeration, ``_two_arc_walks``,
+yields the CNF and branch-and-bound constraints of ``_composition_walks``.
 """
 
 from __future__ import annotations
@@ -27,16 +33,31 @@ ArcList = list[Arc]
 EDGE_LIST_FORMAT = "edge-list"
 MATRIX_FORMAT = "matrix"
 
-# Largest vertex count of an edge-list header.  Relations are dense matrices and
-# the float32 products of ``is_maximal_transitive`` peak near 17 bytes per cell
-# (``transub check --sub`` at n=4000, m=4n: 286 MiB, 30 MiB of it interpreter).
+# Largest vertex count of an edge-list header.  Routes that need the matrix
+# build it from the arcs, and the float32 products of ``is_maximal_transitive``
+# peak near 16 bytes per cell (``transub check --sub`` at n=4000, m=4n: 270 MiB,
+# 31 MiB of it interpreter), which this limit keeps under 2 GiB.
 DENSE_VERTEX_BUDGET = 10000
+
+# Maximal v2 and ``quarter_approx`` run on the arcs when _DENSE_RATIO * m < n^2.
+# On the VM of ``_WALK_COST``, for random loop-free relations with m = n^2 / k,
+# the v2 set sweep against the matrix sweep took 24 / 27, 88 / 98 and
+# 487 / 834 ms at k=32 and n=1000 / 2000 / 4000, and 12 / 23, 42 / 74 and
+# 217 / 663 ms at k=64; the greedy over neighbour lists against the greedy on
+# the matrix in ``quarter_approx`` took 6 / 6, 23 / 19 and 132 / 240 ms at
+# k=64, but 11 / 6 and 54 / 20 ms at k=32 and n=1000 / 2000.  The benchmark's
+# inputs lie far on either side: k=4 (n=2000 matrix) and k=2000 (n=8000, m=4n).
+_DENSE_RATIO = 64
+
+
+def _is_sparse(r: "Relation") -> bool:
+    return _DENSE_RATIO * r.m < r.n * r.n
 
 
 class Relation:
     """A binary relation on ``{1..n}``; arcs are 1-based ``(source, target)`` pairs."""
 
-    __slots__ = ("_adj", "_m")
+    __slots__ = ("_n", "_m", "_adj", "_src", "_dst")
 
     def __init__(self, adj) -> None:
         arr = np.array(adj, dtype=bool)
@@ -45,54 +66,104 @@ class Relation:
         if arr.shape[0] < 1:
             raise ValueError("vertex count must be at least 1")
         arr.setflags(write=False)
+        self._n = arr.shape[0]
+        self._m = int(np.count_nonzero(arr))
         self._adj = arr
-        self._m = int(arr.sum())
+        self._src = self._dst = None
+
+    @classmethod
+    def _from_arc_arrays(cls, n: int, src: np.ndarray, dst: np.ndarray) -> "Relation":
+        """Wrap the row-major 0-based index arrays of distinct arcs; no matrix is built."""
+        if n < 1:
+            raise ValueError("vertex count must be at least 1")
+        r = cls.__new__(cls)
+        r._n, r._m, r._adj = n, len(src), None
+        r._src, r._dst = _frozen(src), _frozen(dst)
+        return r
+
+    @classmethod
+    def _from_codes(cls, n: int, codes: np.ndarray) -> "Relation":
+        """The relation of 0-based cell codes ``u * n + v``, in any order, repeats allowed."""
+        src, dst = np.divmod(np.unique(codes), n)
+        return cls._from_arc_arrays(n, src, dst)
 
     @property
     def adj(self) -> np.ndarray:
         """Read-only n-by-n boolean adjacency matrix."""
+        if self._adj is None:
+            adj = np.zeros((self._n, self._n), dtype=bool)
+            adj[self._src, self._dst] = True
+            self._adj = _frozen(adj)
         return self._adj
+
+    def _arc_arrays(self) -> tuple[np.ndarray, np.ndarray]:
+        """Read-only row-major 0-based ``(src, dst)`` index arrays of the arcs."""
+        if self._src is None:
+            src, dst = np.nonzero(self._adj)
+            self._src, self._dst = _frozen(src), _frozen(dst)
+        return self._src, self._dst
+
+    def _degrees(self) -> tuple[np.ndarray, np.ndarray]:
+        """(out-degree, in-degree) of every vertex, from the arcs when they are held."""
+        if self._src is None:
+            return np.count_nonzero(self._adj, axis=1), np.count_nonzero(self._adj, axis=0)
+        return np.bincount(self._src, minlength=self._n), np.bincount(self._dst, minlength=self._n)
 
     @property
     def n(self) -> int:
-        return self._adj.shape[0]
+        return self._n
 
     @property
     def m(self) -> int:
-        """Arc count: the number of true matrix entries, loops included."""
+        """Arc count, loops included."""
         return self._m
 
     @classmethod
     def empty(cls, n: int) -> "Relation":
-        return cls(np.zeros((n, n), dtype=bool))
+        none = np.empty(0, dtype=np.intp)
+        return cls._from_arc_arrays(n, none, none)
 
     @classmethod
     def from_arcs(cls, n: int, arcs) -> "Relation":
         """Build a relation from 1-based arc pairs; duplicates collapse."""
-        adj = np.zeros((n, n), dtype=bool)
-        for u, v in arcs:
-            if not (1 <= u <= n and 1 <= v <= n):
-                raise ValueError(f"arc ({u}, {v}) out of range 1..{n}")
-            adj[u - 1, v - 1] = True
-        return cls(adj)
+        pairs = np.array(list(arcs), dtype=np.int64).reshape(-1, 2)
+        bad = np.flatnonzero(((pairs < 1) | (pairs > n)).any(axis=1))
+        if len(bad):
+            u, v = pairs[bad[0]].tolist()
+            raise ValueError(f"arc ({u}, {v}) out of range 1..{n}")
+        return cls._from_codes(n, (pairs[:, 0] - 1) * n + (pairs[:, 1] - 1))
 
     def arcs(self) -> ArcList:
         """All arcs in row-major order, 1-based."""
-        return [(int(u) + 1, int(v) + 1) for u, v in np.argwhere(self._adj)]
+        src, dst = self._arc_arrays()
+        return list(zip((src + 1).tolist(), (dst + 1).tolist()))
 
     def has_arc(self, u: int, v: int) -> bool:
-        return bool(self._adj[u - 1, v - 1])
+        if self._adj is not None:
+            return bool(self._adj[u - 1, v - 1])
+        lo, hi = np.searchsorted(self._src, [u - 1, u])
+        return bool(np.any(self._dst[lo:hi] == v - 1))
 
     def __eq__(self, other) -> bool:
         if not isinstance(other, Relation):
             return NotImplemented
-        return self.n == other.n and bool(np.array_equal(self._adj, other._adj))
+        if (self.n, self.m) != (other.n, other.m):
+            return False
+        if self._src is None and other._src is None:
+            return bool(np.array_equal(self._adj, other._adj))
+        return all(map(np.array_equal, self._arc_arrays(), other._arc_arrays()))
 
     def __hash__(self) -> int:
-        return hash((self.n, self._adj.tobytes()))
+        src, dst = self._arc_arrays()
+        return hash((self.n, src.tobytes(), dst.tobytes()))
 
     def __repr__(self) -> str:
         return f"Relation(n={self.n}, m={self.m})"
+
+
+def _frozen(arr: np.ndarray) -> np.ndarray:
+    arr.setflags(write=False)
+    return arr
 
 
 @dataclass(frozen=True)
@@ -140,6 +211,50 @@ class UndirectedGraph:
 
 
 def parse_edge_list(text: str) -> Relation:
+    r = _parse_edge_list_fast(text)
+    return r if r is not None else _parse_edge_list_lines(text)
+
+
+def _parse_edge_list_fast(text: str) -> Relation | None:
+    """The relation of a plain edge list, tokenized with numpy; None for any
+    other text, which ``_parse_edge_list_lines`` then parses or rejects.
+
+    Plain means digits, spaces, tabs and newlines only, two tokens on every
+    non-blank line, a header ``n`` within the budget and every arc endpoint in
+    ``1..n``: exactly the texts the line loop accepts without a comment, a
+    sign, an underscore, a non-ASCII digit or any other line break.
+    """
+    if not text.isascii():
+        return None
+    buf = np.frombuffer(text.encode("ascii"), dtype=np.uint8)
+    digit = (buf >= ord("0")) & (buf <= ord("9"))
+    newline = buf == ord("\n")
+    if not np.all(digit | newline | (buf == ord(" ")) | (buf == ord("\t"))):
+        return None
+    edges = np.diff(digit.view(np.int8), prepend=np.int8(0), append=np.int8(0))
+    starts, ends = np.flatnonzero(edges == 1), np.flatnonzero(edges == -1)
+    if len(starts) < 2 or len(starts) % 2:
+        return None
+    line = np.searchsorted(np.flatnonzero(newline), starts).reshape(-1, 2)
+    if np.any(line[:, 0] != line[:, 1]) or np.any(line[1:, 0] == line[:-1, 1]):
+        return None
+    lengths = ends - starts
+    if np.any(lengths > 18):  # 18 digits fit int64, and Python's int() takes them
+        return None
+    n = int(text[starts[0] : ends[0]])  # the header's arc count is never read
+    if not 1 <= n <= DENSE_VERTEX_BUDGET:
+        return None
+    first, lengths = starts[2:], lengths[2:]
+    values = np.zeros(len(first), dtype=np.int64)
+    for k in range(int(lengths.max(initial=0))):
+        more = lengths > k
+        values[more] = values[more] * 10 + (buf[first[more] + k] - ord("0"))
+    if np.any((values < 1) | (values > n)):
+        return None
+    return Relation._from_codes(n, (values[0::2] - 1) * n + (values[1::2] - 1))
+
+
+def _parse_edge_list_lines(text: str) -> Relation:
     n = None
     arcs: list[Arc] = []
     for lineno, raw in enumerate(text.splitlines(), start=1):
@@ -261,17 +376,18 @@ _WALK_CHUNK = 1 << 20
 
 # The walk route of ``is_transitive`` runs when _WALK_COST * W < n**3, W the
 # number of two-arc walks.  On a 2-vCPU Xeon VM (2.1 GHz, numpy 2.4.6, 2
-# OpenBLAS threads) a walk cost 19 ns (full scan of the transitive total order
-# at n=1000: 3.2 s for 1.7e8 walks, against 32 ms for the product), and the
-# float32 product 3.2e-11 / 2.5e-11 / 1.4e-11 s per n^3 at n=1000 / 2000 /
-# 4000: the routes break even near 600-1400.
-_WALK_COST = 1024
+# OpenBLAS threads) a walk, looked up by binary search among the arc codes,
+# cost 53 ns (full scan of the transitive total order at n=1000: 8.8 s for
+# 1.7e8 walks, against 30 ms for the product), and the float32 product
+# 3.0e-11 / 2.5e-11 / 1.4e-11 s per n^3 at n=1000 / 2000 / 4000: the routes
+# break even near 1800-3800.
+_WALK_COST = 2048
 
 
 def _two_arc_walks(src: np.ndarray, dst: np.ndarray, n: int):
     """Yield every two-arc walk ``(a, b), (b, c)`` as arc-index arrays ``(i1, i2)``.
 
-    ``src``/``dst`` are the row-major arcs of ``np.nonzero(adj)``.  ``i1``
+    ``src``/``dst`` are the row-major arcs of ``Relation._arc_arrays``.  ``i1``
     runs in row-major order and ``i2`` over the successors of ``b`` in
     ascending order.  Each chunk holds whole runs of first arcs and at most
     ``_WALK_CHUNK`` walks, unless one first arc alone has more.
@@ -291,11 +407,18 @@ def _two_arc_walks(src: np.ndarray, dst: np.ndarray, n: int):
         start, done = stop, int(ends[stop - 1])
 
 
-def _transitive_by_walks(adj: np.ndarray) -> bool:
+def _arc_index(codes: np.ndarray, wanted: np.ndarray) -> np.ndarray:
+    """Index of each wanted cell code among the ascending arc codes, -1 where absent."""
+    at = np.minimum(np.searchsorted(codes, wanted), len(codes) - 1)
+    return np.where(codes[at] == wanted, at, -1)
+
+
+def _transitive_by_walks(r: Relation) -> bool:
     # Every two-arc walk a->b->c needs the arc a->c; stop at the first missing.
-    src, dst = np.nonzero(adj)
-    for i1, i2 in _two_arc_walks(src, dst, adj.shape[0]):
-        if not adj[src[i1], dst[i2]].all():
+    src, dst = r._arc_arrays()
+    codes = src * r.n + dst  # ascending, as the arcs are row-major
+    for i1, i2 in _two_arc_walks(src, dst, r.n):
+        if np.any(_arc_index(codes, src[i1] * r.n + dst[i2]) < 0):
             return False
     return True
 
@@ -304,14 +427,15 @@ def is_transitive(r: Relation) -> bool:
     """True iff for all a, b, c (repeats allowed): a->b and b->c imply a->c.
 
     With W = sum over b of indeg(b) * outdeg(b) two-arc walks, a sparse
-    relation checks ``adj[a, c]`` walk by walk, in O(n^2 + W) time and O(n + m)
-    extra memory, stopping at the first missing arc; when ``_WALK_COST * W``
-    reaches n^3 the relation is squared as one float32 product instead.
+    relation looks up the arc ``(a, c)`` of every walk among its arcs, in
+    O(n + m + W log m) time and O(n + m) extra memory, stopping at
+    the first missing arc; when ``_WALK_COST * W`` reaches n^3 the matrix is
+    squared as one float32 product instead.
     """
+    out_deg, in_deg = r._degrees()
+    if _WALK_COST * int(in_deg @ out_deg) < r.n ** 3:
+        return _transitive_by_walks(r)
     adj = r.adj
-    walks = int(np.count_nonzero(adj, axis=0) @ np.count_nonzero(adj, axis=1))
-    if _WALK_COST * walks < r.n ** 3:
-        return _transitive_by_walks(adj)
     return not bool(np.any(_bool_product(adj, adj) & ~adj))
 
 
@@ -372,23 +496,19 @@ def _composition_walks(r: Relation) -> tuple[ArcList, list[tuple[int, int, int]]
     of the premises (``a == b`` or ``b == c``) are skipped: they hold
     whenever the premises do.
     """
-    adj = r.adj
-    src, dst = np.nonzero(adj)
+    src, dst = r._arc_arrays()
     codes = src * r.n + dst  # ascending, as the arcs are row-major
     walks: list[tuple[int, int, int]] = []
     for i1, i2 in _two_arc_walks(src, dst, r.n):
         a, b, c = src[i1], dst[i1], dst[i2]
         keep = (a != b) & (b != c)
-        i1, i2, a, c = i1[keep], i2[keep], a[keep], c[keep]
-        req = np.searchsorted(codes, a * r.n + c)
-        req[~adj[a, c]] = -1
-        walks.extend(zip(i1.tolist(), i2.tolist(), req.tolist()))
-    arcs = list(zip((src + 1).tolist(), (dst + 1).tolist()))
-    return arcs, walks
+        req = _arc_index(codes, a[keep] * r.n + c[keep])
+        walks.extend(zip(i1[keep].tolist(), i2[keep].tolist(), req.tolist()))
+    return r.arcs(), walks
 
 
 def has_path_length_two(r: Relation) -> bool:
     """True iff some vertex has both an incoming and an outgoing arc
     (endpoints of the two-step walk may coincide)."""
-    adj = r.adj
-    return bool(np.any(adj.any(axis=0) & adj.any(axis=1)))
+    out_deg, in_deg = r._degrees()
+    return bool(np.any((out_deg > 0) & (in_deg > 0)))

@@ -2,9 +2,10 @@
 
 Oracles here deliberately avoid the library's code paths: transitivity by
 triple loop, closure by iterated squaring over bitmask rows, maximality by one
-closure per candidate arc, cuts by direct enumeration, the greedy cut by
-neighbor sets, CNF clauses by a scan over every cell triple, the matrix format
-by a per-cell join.  They are the second route of every dual-route check.
+closure per candidate arc, the maximal sweep by a cell scan over nested lists,
+cuts by direct enumeration, the greedy cut by neighbor sets, CNF clauses by a
+scan over every cell triple, the matrix format by a per-cell join.  They are
+the second route of every dual-route check.
 """
 
 from __future__ import annotations
@@ -121,6 +122,26 @@ def oracle_extend_to_maximal(host: Relation, t: Relation) -> Relation:
             if closure <= inside:
                 current = closure
     return Relation.from_arcs(host.n, current)
+
+
+def oracle_maximal_cell_scan(r: Relation) -> Relation:
+    """The maximal sweep as a cell scan over nested lists: for each present
+    arc (i, j) with i != j, in row-major order, every absent (i, k) deletes
+    (j, k) for k != j, and every absent (k, j) deletes (k, i) for k != i."""
+    n = r.n
+    grid = [[False] * n for _ in range(n)]
+    for u, v in r.arcs():
+        grid[u - 1][v - 1] = True
+    for i in range(n):
+        for j in range(n):
+            if j == i or not grid[i][j]:
+                continue
+            for k in range(n):
+                if k != j and not grid[i][k]:
+                    grid[j][k] = False
+                if k != i and not grid[k][j]:
+                    grid[k][i] = False
+    return Relation.from_arcs(n, [(i + 1, j + 1) for i in range(n) for j in range(n) if grid[i][j]])
 
 
 def oracle_serialize_matrix(r: Relation) -> str:

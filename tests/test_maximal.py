@@ -1,6 +1,7 @@
 import itertools
 import random
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 
@@ -9,9 +10,11 @@ from helpers import (
     oracle_extend_to_maximal,
     oracle_is_maximal_transitive,
     oracle_is_transitive,
+    oracle_maximal_cell_scan,
     random_digraph,
     relations,
 )
+from transub import maximal
 from transub import (
     PreconditionError,
     Relation,
@@ -111,6 +114,54 @@ class TestOutputContract:
         for _ in range(60):
             r = random_digraph(rng, rng.randint(1, 30), 0.2)
             assert maximal_transitive_v1(r) == maximal_transitive_v2(r)
+
+
+def sweep_routes(r):
+    """Arcs of the v2 set route and of the dense sweep, each called directly;
+    the set route reads the arcs, the dense sweep a copy of the matrix."""
+    by_sets = maximal._set_run(Relation.from_arcs(r.n, r.arcs()))
+    by_matrix = maximal._fast_run(Relation(r.adj), row_extract=True)
+    return by_sets.arcs(), by_matrix.arcs()
+
+
+class TestSetRoute:
+    def test_all_relations_on_three_vertices(self, suite_n3_loops):
+        for r in suite_n3_loops:
+            expected = oracle_maximal_cell_scan(r).arcs()
+            assert sweep_routes(r) == (expected, expected), r.arcs()
+
+    @settings(max_examples=150)
+    @given(relations(max_n=12))
+    def test_matches_cell_scan_oracle(self, r):
+        expected = oracle_maximal_cell_scan(r).arcs()
+        assert sweep_routes(r) == (expected, expected)
+
+    def test_seeded_sparse_matches_dense_sweep(self):
+        n = 2000
+        rng = np.random.default_rng(2000)
+        r = Relation.from_arcs(n, rng.integers(1, n + 1, size=(4 * n, 2)).tolist())
+        by_sets, by_matrix = sweep_routes(r)
+        assert by_sets == by_matrix
+        assert 0 < len(by_sets) < r.m
+
+    def test_sparse_input_takes_the_set_route(self, monkeypatch):
+        def no_matrix(r, row_extract):
+            raise AssertionError("matrix sweep on a sparse input")
+
+        monkeypatch.setattr(maximal, "_fast_run", no_matrix)
+        r = Relation.from_arcs(100, [(i, i % 100 + 1) for i in range(1, 101)])
+        out, _ = maximal_transitive_v2(r, collect_trace=False)
+        assert r._adj is None and out._adj is None  # no matrix was built
+        assert out == maximal_transitive_v2(r)[0]
+
+    def test_dense_input_takes_the_matrix_route(self, monkeypatch):
+        def no_sets(r):
+            raise AssertionError("set sweep on a dense input")
+
+        monkeypatch.setattr(maximal, "_set_run", no_sets)
+        r = Relation(np.random.default_rng(8).random((40, 40)) < 0.25)
+        out, _ = maximal_transitive_v2(r, collect_trace=False)
+        assert out == maximal_transitive_v2(r)[0]
 
 
 class TestMaximalityOracle:

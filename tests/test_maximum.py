@@ -15,6 +15,7 @@ from helpers import (
     relations,
     undirected_graphs,
 )
+from transub import maximum
 from transub import (
     BudgetError,
     Relation,
@@ -167,6 +168,30 @@ class TestQuarterApprox:
     @example(rel(3, [(2, 1), (2, 2), (3, 1)]))  # the backward direction is heavier
     def test_matches_oracle_route(self, r):
         assert quarter_approx(r) == oracle_quarter_approx(r)
+
+    def test_arc_route_all_relations_on_three_vertices(self, suite_n3_loops):
+        for r in suite_n3_loops:
+            assert maximum._quarter_by_arcs(r).arcs() == oracle_quarter_approx(r).arcs(), r.arcs()
+
+    @settings(max_examples=120)
+    @given(relations(max_n=12))
+    @example(rel(3, [(2, 1), (2, 2), (3, 1)]))  # the backward direction is heavier
+    def test_arc_route_matches_oracle(self, r):
+        out = maximum._quarter_by_arcs(r)
+        assert r._adj is None and out._adj is None  # no matrix was built
+        assert out.arcs() == oracle_quarter_approx(r).arcs()
+
+    def test_sparse_input_takes_the_arc_route(self, monkeypatch):
+        def no_matrix(sym):
+            raise AssertionError("matrix greedy on a sparse input")
+
+        monkeypatch.setattr(maximum, "_greedy_sides", no_matrix)
+        n = 2000
+        rng = np.random.default_rng(2000)
+        r = Relation.from_arcs(n, rng.integers(1, n + 1, size=(4 * n, 2)).tolist())
+        out = quarter_approx(r)
+        assert r._adj is None and out._adj is None
+        assert out.arcs() == oracle_quarter_approx(r).arcs()
 
 
 class TestForwardCutTable:

@@ -1,3 +1,5 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 from hypothesis import example, given, settings
@@ -24,9 +26,11 @@ from transub import (
     is_subrelation,
     is_transitive,
     is_triangle_free,
+    maximal_transitive_v2,
     parse_edge_list,
     parse_matrix,
     parse_relation,
+    quarter_approx,
     serialize_edge_list,
     serialize_matrix,
     serialize_relation,
@@ -64,6 +68,63 @@ class TestRelationType:
     @given(relations())
     def test_arc_round_trip(self, r):
         assert Relation.from_arcs(r.n, r.arcs()) == r
+
+
+class TestViews:
+    @settings(max_examples=80)
+    @given(relations(max_n=8))
+    def test_matrix_and_arc_views_agree(self, r):
+        matrix = np.zeros((r.n, r.n), dtype=bool)
+        for u, v in r.arcs():
+            matrix[u - 1, v - 1] = True
+        by_arcs, by_matrix = Relation.from_arcs(r.n, r.arcs()), Relation(matrix)
+        assert by_arcs._adj is None and by_matrix._src is None
+        assert (by_arcs.n, by_arcs.m) == (by_matrix.n, by_matrix.m)
+        assert by_arcs.arcs() == by_matrix.arcs()
+        cells = [(u, v) for u in range(1, r.n + 1) for v in range(1, r.n + 1)]
+        present = [bool(matrix[u - 1, v - 1]) for u, v in cells]
+        assert [by_arcs.has_arc(u, v) for u, v in cells] == present
+        assert [by_matrix.has_arc(u, v) for u, v in cells] == present
+        assert by_arcs == by_matrix and hash(by_arcs) == hash(by_matrix)
+        assert serialize_edge_list(by_arcs) == serialize_edge_list(by_matrix)
+        assert by_arcs._adj is None  # none of the above needs the matrix
+        assert serialize_matrix(by_arcs) == serialize_matrix(by_matrix)
+        assert np.array_equal(by_arcs.adj, matrix) and not by_arcs.adj.flags.writeable
+        src, dst = by_matrix._arc_arrays()
+        assert not src.flags.writeable and not dst.flags.writeable
+
+    def test_views_tell_relations_apart(self):
+        for a, b in [([(1, 2)], [(2, 1)]), ([(1, 1)], [(2, 2)]), ([], [(1, 2)])]:
+            for x in (rel(2, a), Relation(rel(2, a).adj)):
+                for y in (rel(2, b), Relation(rel(2, b).adj)):
+                    assert x != y
+        assert Relation.empty(3) == Relation(np.zeros((3, 3), dtype=bool))
+        assert rel(2, []) != rel(3, [])
+
+    def test_sparse_pipeline_builds_no_matrix(self):
+        # One n-by-n matrix at n=8000 is 64 MiB; parsing, the maximal sweep,
+        # the transitivity check, the quarter approximation and writing the
+        # results stay under 8 MiB of allocations on an edge list with m=4n.
+        n = 8000
+        pairs = np.random.default_rng(8000).integers(1, n + 1, size=(4 * n, 2))
+        text = f"{n} {4 * n}\n" + "".join(f"{u} {v}\n" for u, v in pairs.tolist())
+        small = parse_edge_list("3 2\n1 2\n2 3\n")  # first-use costs outside the window
+        maximal_transitive_v2(small, collect_trace=False)
+        is_transitive(small), quarter_approx(small)
+        tracemalloc.start()
+        try:
+            base = tracemalloc.get_traced_memory()[0]
+            r = parse_edge_list(text)
+            kept, _ = maximal_transitive_v2(r, collect_trace=False)
+            transitive = is_transitive(r)
+            quarter = quarter_approx(r)
+            serialize_edge_list(kept), serialize_edge_list(quarter)
+            peak = tracemalloc.get_traced_memory()[1] - base
+        finally:
+            tracemalloc.stop()
+        assert not transitive and 0 < quarter.m and 0 < kept.m < r.m
+        assert r._adj is None and kept._adj is None and quarter._adj is None
+        assert peak < 8 * 2**20, f"{peak / 2**20:.1f} MiB"
 
 
 class TestEdgeListParsing:
@@ -107,6 +168,85 @@ class TestEdgeListParsing:
         assert DENSE_VERTEX_BUDGET >= 8000
         with pytest.raises(BudgetError, match=str(DENSE_VERTEX_BUDGET)):
             parse_edge_list(f"{DENSE_VERTEX_BUDGET + 1} 0\n")
+
+
+def parse_outcome(parse, text):
+    """The relation a parser builds, or the type, message and line of its error."""
+    try:
+        r = parse(text)
+    except (ParseError, BudgetError) as exc:
+        return type(exc), str(exc), getattr(exc, "line", None)
+    return r.n, r.arcs()
+
+
+# Plain tokens in and out of range, mixed with tokens the line loop reads in
+# its own way: underscores, signs, non-ASCII digits, comments, huge numbers.
+EDGE_TOKENS = st.one_of(
+    st.integers(0, 13).map(str),
+    st.sampled_from(
+        ["007", "1_0", "+3", "-1", "\u0663", "\uff13", "x", "#", "99999999999999999999"]
+    ),
+)
+LINE_BREAKS = st.sampled_from(["\n", "\n", "\n", "\t\n", "\r\n", "\r", "\x0c", "\x1c", "\u2028"])
+
+
+@st.composite
+def edge_list_texts(draw):
+    lines = draw(st.lists(st.one_of(
+        st.lists(EDGE_TOKENS, min_size=2, max_size=2).map(" ".join),
+        st.lists(EDGE_TOKENS, max_size=4).map("\t ".join),
+        st.sampled_from(["# note", "", "  \t"]),
+    ), max_size=8))
+    if draw(st.booleans()):
+        n, m = draw(st.integers(1, 12)), draw(st.integers(0, 30))
+        lines.insert(0, f"{n} {m}")
+    breaks = draw(st.lists(LINE_BREAKS, min_size=len(lines), max_size=len(lines)))
+    text = "".join(line + brk for line, brk in zip(lines, breaks))
+    return text[:-1] if text and draw(st.booleans()) else text
+
+
+class TestEdgeListFastPath:
+    @settings(max_examples=400)
+    @given(edge_list_texts())
+    def test_matches_line_loop(self, text):
+        assert parse_outcome(parse_edge_list, text) == parse_outcome(
+            relation._parse_edge_list_lines, text
+        )
+
+    @pytest.mark.parametrize("text, fast", [
+        ("3 2\n1 2\n2 3\n", True),
+        ("3 2\n1 2\n2 3", True),
+        ("3 0\n", True),  # a header alone
+        ("3 0", True),
+        ("3 3\n1 2\n1 2\n2 3\n", True),  # duplicates collapse
+        ("\n3 1\n\n  \n1\t2\n\n", True),  # blank lines and tabs
+        ("3 1\n01 002\n", True),
+        ("3 1\n1_0 2\n", False),
+        ("3 1\n+3 2\n", False),
+        ("3 1\n\u0663 2\n", False),
+        ("3 1\n\uff13 2\n", False),
+        ("3 1\r\n1 2\r\n", False),
+        ("3 1\n1 2\x0c\n", False),
+        ("# c\n3 1\n1 2\n", False),
+        ("3 1\n1 2 # c\n", False),
+        ("3 1\n1 4\n", False),
+        ("3 1\n0 1\n", False),
+        ("3 1\n1\n", False),
+        ("3 1\n1 2 3\n", False),
+        ("3 2\n1 2 2 3\n", False),  # two arcs on one line
+        ("3 1 1 2\n", False),
+        ("3 1\n1 2\n2\n", False),
+        ("", False),
+        ("3\n", False),
+        ("0 0\n", False),
+        (f"{DENSE_VERTEX_BUDGET + 1} 0\n", False),
+        ("3 " + "9" * 5000 + "\n", False),  # beyond int()'s digit limit
+    ])
+    def test_explicit_cases(self, text, fast):
+        assert (relation._parse_edge_list_fast(text) is not None) == fast
+        assert parse_outcome(parse_edge_list, text) == parse_outcome(
+            relation._parse_edge_list_lines, text
+        )
 
 
 class TestMatrixParsing:
@@ -200,12 +340,15 @@ WALK_CHUNKS = [1, 3, relation._WALK_CHUNK]
 
 
 def walk_routes(r):
-    """Verdicts of the walk route, called directly, under each chunk size."""
+    """Verdicts of the walk route, called directly, under each chunk size;
+    each must not depend on whether the relation holds its arcs or its matrix."""
     verdicts = []
     for chunk in WALK_CHUNKS:
         with pytest.MonkeyPatch.context() as mp:
             mp.setattr(relation, "_WALK_CHUNK", chunk)
-            verdicts.append(relation._transitive_by_walks(r.adj))
+            verdict = relation._transitive_by_walks(r)
+            assert relation._transitive_by_walks(Relation(r.adj)) == verdict
+            verdicts.append(verdict)
     return verdicts
 
 
@@ -269,6 +412,16 @@ class TestTransitivityByWalks:
         assert not is_transitive(Relation(adj))
         side = np.arange(n) < 3
         assert is_transitive(Relation(np.outer(side, ~side)))
+
+    def test_arc_held_relations_build_no_matrix(self):
+        rng = np.random.default_rng(300)
+        r = Relation.from_arcs(300, rng.integers(1, 301, size=(1200, 2)).tolist())
+        kept, _ = maximal_transitive_v2(r, collect_trace=False)
+        for s in (r, kept, quarter_approx(r)):
+            verdict = is_transitive(s)
+            assert s._adj is None  # the walks read the arcs
+            assert verdict == oracle_is_transitive(s)
+        assert not is_transitive(r) and is_transitive(kept)
 
     def test_dense_input_takes_the_product_route(self, monkeypatch):
         calls = []
