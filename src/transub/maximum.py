@@ -23,6 +23,7 @@ from .relation import (
     Relation,
     UndirectedGraph,
     _composition_walks,
+    _distinct,
     _is_sparse,
     find_triangle,
     underlying_graph,
@@ -132,7 +133,7 @@ def _quarter_by_arcs(r: Relation) -> Relation:
     n = r.n
     src, dst = r._arc_arrays()
     cross = src != dst
-    edges = np.unique(np.maximum(src, dst)[cross] * n + np.minimum(src, dst)[cross])
+    edges = _distinct(np.maximum(src, dst)[cross] * n + np.minimum(src, dst)[cross])
     bounds = np.searchsorted(edges, np.arange(n + 1) * n).tolist()  # edges sort by v
     lower = (edges % n).tolist()
     side = [False] * n

@@ -84,7 +84,7 @@ class Relation:
     @classmethod
     def _from_codes(cls, n: int, codes: np.ndarray) -> "Relation":
         """The relation of 0-based cell codes ``u * n + v``, in any order, repeats allowed."""
-        src, dst = np.divmod(np.unique(codes), n)
+        src, dst = np.divmod(_distinct(codes), n)
         return cls._from_arc_arrays(n, src, dst)
 
     @property
@@ -164,6 +164,15 @@ class Relation:
 def _frozen(arr: np.ndarray) -> np.ndarray:
     arr.setflags(write=False)
     return arr
+
+
+def _distinct(codes: np.ndarray) -> np.ndarray:
+    """The distinct values, ascending.  ``np.unique`` would import ``numpy.ma``
+    on first use, about 10 ms of every process that parses an edge list."""
+    codes = np.sort(codes)
+    first = np.ones(len(codes), dtype=bool)
+    np.not_equal(codes[1:], codes[:-1], out=first[1:])
+    return codes[first]
 
 
 @dataclass(frozen=True)

@@ -94,7 +94,7 @@ class TestViews:
         assert not src.flags.writeable and not dst.flags.writeable
 
     def test_views_tell_relations_apart(self):
-        for a, b in [([(1, 2)], [(2, 1)]), ([(1, 1)], [(2, 2)]), ([], [(1, 2)])]:
+        for a, b in [([(1, 2)], [(2, 1)]), ([(1, 1)], [(1, 2)]), ([], [(1, 2)])]:
             for x in (rel(2, a), Relation(rel(2, a).adj)):
                 for y in (rel(2, b), Relation(rel(2, b).adj)):
                     assert x != y
