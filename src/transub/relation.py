@@ -120,8 +120,7 @@ class Relation:
 
     @classmethod
     def empty(cls, n: int) -> "Relation":
-        none = np.empty(0, dtype=np.intp)
-        return cls._from_arc_arrays(n, none, none)
+        return cls.from_arcs(n, ())
 
     @classmethod
     def from_arcs(cls, n: int, arcs) -> "Relation":
