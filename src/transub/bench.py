@@ -65,7 +65,7 @@ def random_relation(n: int, m: int, seed: int) -> Relation:
     cols = np.where(offs < rows, offs, offs + 1)
     adj = np.zeros((n, n), dtype=bool)
     adj[rows, cols] = True
-    return Relation(adj)
+    return Relation._from_matrix(adj)
 
 
 def _time_ns(fn, r: Relation) -> int:

@@ -115,7 +115,7 @@ def _fast_run(r: Relation, row_extract: bool) -> Relation:
             # these two in-place masks reproduce the k-sweep exactly.
             adj[j] &= row
             adj[:, i] &= adj[:, j]
-    return Relation(adj)
+    return Relation._from_matrix(adj)
 
 
 def _set_run(r: Relation) -> Relation:
@@ -220,4 +220,4 @@ def extend_to_maximal(host: Relation, t: Relation) -> Relation:
         block = np.ix_(a, b)
         if host.adj[block].all():
             current[block] = True
-    return Relation(current)
+    return Relation._from_matrix(current)

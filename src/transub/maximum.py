@@ -7,8 +7,9 @@ budget 22 arcs) and ``brute_force_max_dicut`` scores every vertex bipartition
 products of half-mask side-bit matrices with blocks of the adjacency matrix.
 ``quarter_approx`` keeps the heavier direction of a greedy cut, taken on the
 adjacency matrix or, for sparse relations, on neighbour lists, and always
-returns a transitive arc set of size at least m/4.
-All tie-breaks are deterministic so results are reproducible bit for bit.
+returns a transitive arc set of size at least m/4.  The dicut counts
+(``dicut_size``, ``forward_arcs``) and the local search run on the arcs and
+build no matrix.  All tie-breaks are deterministic, so results repeat bit for bit.
 """
 
 from __future__ import annotations
@@ -88,9 +89,9 @@ def dicut_size(r: Relation, p: VertexPartition) -> DicutResult:
     if p.n != r.n:
         raise ValueError(f"partition covers {p.n} vertices, relation has {r.n}")
     u = _u_vector(p)
-    forward = int((r.adj & np.outer(u, ~u)).sum())
-    backward = int((r.adj & np.outer(~u, u)).sum())
-    return DicutResult(p, forward, backward)
+    src, dst = r._arc_arrays()
+    tail, head = u[src], u[dst]
+    return DicutResult(p, int(np.count_nonzero(tail & ~head)), int(np.count_nonzero(head & ~tail)))
 
 
 def forward_arcs(r: Relation, p: VertexPartition) -> Relation:
@@ -98,7 +99,9 @@ def forward_arcs(r: Relation, p: VertexPartition) -> Relation:
     if p.n != r.n:
         raise ValueError(f"partition covers {p.n} vertices, relation has {r.n}")
     u = _u_vector(p)
-    return Relation(r.adj & np.outer(u, ~u))
+    src, dst = r._arc_arrays()
+    keep = u[src] & ~u[dst]
+    return Relation._from_arc_arrays(r.n, src[keep], dst[keep])
 
 
 def _greedy_sides(sym: np.ndarray) -> np.ndarray:
@@ -161,7 +164,7 @@ def quarter_approx(r: Relation) -> Relation:
     u = _greedy_sides(r.adj | r.adj.T)
     forward = r.adj & np.outer(u, ~u)
     backward = r.adj & np.outer(~u, u)
-    return Relation(forward if forward.sum() >= backward.sum() else backward)
+    return Relation._from_matrix(forward if forward.sum() >= backward.sum() else backward)
 
 
 # ---------------------------------------------------------------------------
@@ -301,59 +304,51 @@ def local_search_dicut(
     move strictly increases the forward count, so the search terminates; the
     result never falls below the initial forward count and is deterministic
     given the seed.
+
+    The flip gain of every vertex is held in one vector (Fiduccia-Mattheyses,
+    DAC 1982): a round costs one argmax over the n gains plus O(deg v) updates
+    for the flipped vertex v.  Only a wholesale swap recomputes all gains.
     """
     if max_rounds < 1:
         raise ValueError("max_rounds must be at least 1")
     n = r.n
     rng = random.Random(seed)
-    in_u = [bool(rng.getrandbits(1)) for _ in range(n)]
+    side = np.array([1 if rng.getrandbits(1) else -1 for _ in range(n)])  # +1 is U
+    src, dst = r._arc_arrays()
+    cross = src != dst
+    src, dst = src[cross], dst[cross]
+    # Neighbour lists with one entry per arc end: a 2-cycle partner appears twice.
+    ends = np.concatenate([src, dst])
+    order = np.argsort(ends)
+    nbrs = np.concatenate([dst, src])[order]
+    bounds = np.searchsorted(ends[order], np.arange(n + 1)).tolist()
 
-    cross = [(u - 1, v - 1) for u, v in r.arcs() if u != v]
-    out_of: list[list[int]] = [[] for _ in range(n)]
-    in_of: list[list[int]] = [[] for _ in range(n)]
-    for u, v in cross:
-        out_of[u].append(v)
-        in_of[v].append(u)
+    def gains() -> np.ndarray:
+        # Moving v out of U gains (in-arcs from U) - (out-arcs into V); into U, the negation.
+        in_u = np.bincount(dst[side[src] > 0], minlength=n)
+        out_v = np.bincount(src[side[dst] < 0], minlength=n)
+        return side * (in_u - out_v)
 
-    def forward_count() -> int:
-        return sum(1 for u, v in cross if in_u[u] and not in_u[v])
-
-    def backward_count() -> int:
-        return sum(1 for u, v in cross if not in_u[u] and in_u[v])
-
-    forward = forward_count()
-    rounds = 0
-    while rounds < max_rounds:
-        best_delta = 0
-        best_vertex = -1
-        for v in range(n):
-            delta = 0
-            if in_u[v]:
-                for w in out_of[v]:
-                    delta -= not in_u[w]
-                for w in in_of[v]:
-                    delta += in_u[w]
-            else:
-                for w in out_of[v]:
-                    delta += not in_u[w]
-                for w in in_of[v]:
-                    delta -= in_u[w]
-            if delta > best_delta:
-                best_delta = delta
-                best_vertex = v
-        if best_vertex >= 0:
-            in_u[best_vertex] = not in_u[best_vertex]
-            forward += best_delta
-            rounds += 1
+    forward = int(np.count_nonzero((side[src] > 0) & (side[dst] < 0)))
+    gain = gains()
+    for _ in range(max_rounds):
+        v = int(np.argmax(gain))  # the first index among equal gains
+        best = int(gain[v])
+        if best > 0:
+            side[v] = -side[v]
+            gain[v] = -best
+            # The term of each arc at a neighbour w changes by side[v] * side[w].
+            near = nbrs[bounds[v] : bounds[v + 1]]
+            np.add.at(gain, near, side[v] * side[near])
+            forward += best
             continue
-        backward = backward_count()
-        if backward > forward:
-            in_u = [not s for s in in_u]
-            forward = backward
-            rounds += 1
-            continue
-        break
-    partition = VertexPartition(tuple(U_SIDE if s else V_SIDE for s in in_u))
+        backward = int(np.count_nonzero((side[src] < 0) & (side[dst] > 0)))
+        if backward <= forward:
+            break
+        side = -side
+        gain = gains()
+        forward = backward
+    partition = VertexPartition(tuple(U_SIDE if s > 0 else V_SIDE for s in side.tolist()))
     return dicut_size(r, partition)
 
 

@@ -65,11 +65,16 @@ class Relation:
             raise ValueError(f"adjacency matrix must be square, got shape {arr.shape}")
         if arr.shape[0] < 1:
             raise ValueError("vertex count must be at least 1")
-        arr.setflags(write=False)
-        self._n = arr.shape[0]
-        self._m = int(np.count_nonzero(arr))
-        self._adj = arr
+        self._n, self._m, self._adj = arr.shape[0], int(np.count_nonzero(arr)), _frozen(arr)
         self._src = self._dst = None
+
+    @classmethod
+    def _from_matrix(cls, adj: np.ndarray) -> "Relation":
+        """Freeze a square boolean matrix that only its caller built; no copy."""
+        r = cls.__new__(cls)
+        r._n, r._m, r._adj = adj.shape[0], int(np.count_nonzero(adj)), _frozen(adj)
+        r._src = r._dst = None
+        return r
 
     @classmethod
     def _from_arc_arrays(cls, n: int, src: np.ndarray, dst: np.ndarray) -> "Relation":
@@ -312,7 +317,7 @@ def parse_matrix(text: str) -> Relation:
         if set(line) - {"0", "1"}:
             raise ParseError(f"characters outside {{0, 1}}: {line!r}", i + 1)
         adj[i] = np.frombuffer(line.encode("ascii"), dtype=np.uint8) == ord("1")
-    return Relation(adj)
+    return Relation._from_matrix(adj)
 
 
 def serialize_edge_list(r: Relation) -> str:
@@ -456,7 +461,7 @@ def transitive_closure(r: Relation) -> Relation:
     adj = r.adj.copy()
     for k in range(r.n):  # pivot outermost; the inner loops are one outer product
         adj |= adj[:, k : k + 1] & adj[k : k + 1, :]
-    return Relation(adj)
+    return Relation._from_matrix(adj)
 
 
 def is_subrelation(a: Relation, b: Relation) -> bool:

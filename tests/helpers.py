@@ -3,9 +3,10 @@
 Oracles here deliberately avoid the library's code paths: transitivity by
 triple loop, closure by iterated squaring over bitmask rows, maximality by one
 closure per candidate arc, the maximal sweep by a cell scan over nested lists,
-cuts by direct enumeration, the greedy cut by neighbor sets, CNF clauses by a
-scan over every cell triple, the matrix format by a per-cell join.  They are
-the second route of every dual-route check.
+cuts by direct enumeration or by masking the matrix, the local search by a
+rescan of every vertex each round, the greedy cut by neighbor sets, CNF
+clauses by a scan over every cell triple, the matrix format by a per-cell
+join.  They are the second route of every dual-route check.
 """
 
 from __future__ import annotations
@@ -13,9 +14,10 @@ from __future__ import annotations
 import itertools
 import random
 
+import numpy as np
 from hypothesis import strategies as st
 
-from transub import Relation, UndirectedGraph
+from transub import DicutResult, Relation, UndirectedGraph, VertexPartition
 
 
 # ---------------------------------------------------------------------------
@@ -162,6 +164,86 @@ def oracle_forward_counts(r: Relation) -> list[int]:
         )
         for mask in range(1 << n)
     ]
+
+
+def oracle_dicut_size(r: Relation, p: VertexPartition) -> DicutResult:
+    """Arcs crossing the partition in each direction, by masking the matrix
+    with the outer products of the side vector."""
+    if p.n != r.n:
+        raise ValueError(f"partition covers {p.n} vertices, relation has {r.n}")
+    u = np.array([s == "U" for s in p.side])
+    forward = int((r.adj & np.outer(u, ~u)).sum())
+    backward = int((r.adj & np.outer(~u, u)).sum())
+    return DicutResult(p, forward, backward)
+
+
+def oracle_forward_arcs(r: Relation, p: VertexPartition) -> Relation:
+    """The U-to-V arcs, by masking the matrix."""
+    if p.n != r.n:
+        raise ValueError(f"partition covers {p.n} vertices, relation has {r.n}")
+    u = np.array([s == "U" for s in p.side])
+    return Relation(r.adj & np.outer(u, ~u))
+
+
+def oracle_local_search_dicut(
+    r: Relation, seed: int, max_rounds: int = 10_000
+) -> DicutResult:
+    """The seeded hill climb of ``local_search_dicut``, rescanning every
+    vertex and every arc each round: flip the first vertex of largest positive
+    gain, else swap the sides wholesale when the backward count is larger."""
+    if max_rounds < 1:
+        raise ValueError("max_rounds must be at least 1")
+    n = r.n
+    rng = random.Random(seed)
+    in_u = [bool(rng.getrandbits(1)) for _ in range(n)]
+
+    cross = [(u - 1, v - 1) for u, v in r.arcs() if u != v]
+    out_of: list[list[int]] = [[] for _ in range(n)]
+    in_of: list[list[int]] = [[] for _ in range(n)]
+    for u, v in cross:
+        out_of[u].append(v)
+        in_of[v].append(u)
+
+    def forward_count() -> int:
+        return sum(1 for u, v in cross if in_u[u] and not in_u[v])
+
+    def backward_count() -> int:
+        return sum(1 for u, v in cross if not in_u[u] and in_u[v])
+
+    forward = forward_count()
+    rounds = 0
+    while rounds < max_rounds:
+        best_delta = 0
+        best_vertex = -1
+        for v in range(n):
+            delta = 0
+            if in_u[v]:
+                for w in out_of[v]:
+                    delta -= not in_u[w]
+                for w in in_of[v]:
+                    delta += in_u[w]
+            else:
+                for w in out_of[v]:
+                    delta += not in_u[w]
+                for w in in_of[v]:
+                    delta -= in_u[w]
+            if delta > best_delta:
+                best_delta = delta
+                best_vertex = v
+        if best_vertex >= 0:
+            in_u[best_vertex] = not in_u[best_vertex]
+            forward += best_delta
+            rounds += 1
+            continue
+        backward = backward_count()
+        if backward > forward:
+            in_u = [not s for s in in_u]
+            forward = backward
+            rounds += 1
+            continue
+        break
+    partition = VertexPartition(tuple("U" if s else "V" for s in in_u))
+    return oracle_dicut_size(r, partition)
 
 
 def oracle_greedy_bipartition(g: UndirectedGraph) -> tuple[str, ...]:

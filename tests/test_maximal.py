@@ -1,5 +1,6 @@
 import itertools
 import random
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -163,6 +164,22 @@ class TestSetRoute:
         out, _ = maximal_transitive_v2(r, collect_trace=False)
         assert out == maximal_transitive_v2(r)[0]
 
+
+    def test_dense_sweep_allocates_one_matrix(self):
+        # The dense sweep copies the input matrix once and returns that copy
+        # frozen, so its allocations peak near n^2 bytes (two copies before).
+        n = 2000
+        r = Relation(np.random.default_rng(2000).random((n, n)) < 0.25)
+        maximal_transitive_v2(Relation(np.eye(3, dtype=bool)), collect_trace=False)
+        tracemalloc.start()
+        try:
+            base = tracemalloc.get_traced_memory()[0]
+            out, _ = maximal_transitive_v2(r, collect_trace=False)
+            peak = tracemalloc.get_traced_memory()[1] - base
+        finally:
+            tracemalloc.stop()
+        assert out._src is None and not out.adj.flags.writeable
+        assert peak < 1.25 * n * n, f"{peak / 2**20:.1f} MiB"
 
 class TestMaximalityOracle:
     def test_path_examples(self):

@@ -3,12 +3,16 @@ import random
 import numpy as np
 import pytest
 from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from helpers import (
     all_relations,
     cut_edge_count,
+    oracle_dicut_size,
+    oracle_forward_arcs,
     oracle_forward_counts,
     oracle_greedy_bipartition,
+    oracle_local_search_dicut,
     oracle_max_transitive_size,
     oracle_quarter_approx,
     random_digraph,
@@ -31,6 +35,7 @@ from transub import (
     has_path_length_two,
     is_subrelation,
     is_transitive,
+    forward_arcs,
     local_search_dicut,
     maximal_transitive_v2,
     quarter_approx,
@@ -273,6 +278,78 @@ class TestLocalSearchDicut:
     @given(relations(max_n=6, loops=False))
     def test_never_beats_exact(self, r):
         assert local_search_dicut(r, 1).forward <= brute_force_max_dicut(r).forward
+
+
+def held_copies(r):
+    """A matrix-held and an arc-held copy of ``r``; neither fills a view of ``r``."""
+    matrix = np.zeros((r.n, r.n), dtype=bool)
+    for u, v in r.arcs():
+        matrix[u - 1, v - 1] = True
+    return Relation(matrix), Relation.from_arcs(r.n, r.arcs())
+
+
+def seeded_relation(n, seed):
+    """m = 4n random arcs, with some loops and 2-cycles added."""
+    pairs = np.random.default_rng(seed).integers(1, n + 1, size=(4 * n, 2))
+    extra = [(v, v) for v in pairs[:20, 0].tolist()] + [(v, u) for u, v in pairs[:200].tolist()]
+    return Relation.from_arcs(n, pairs.tolist() + extra)
+
+
+class TestDicutOnArcs:
+    """The local search, the cut counts and the forward arcs against the
+    rescanning and matrix oracles, on matrix-held and arc-held relations."""
+
+    @staticmethod
+    def check(r, seed, max_rounds=10_000):
+        want = oracle_local_search_dicut(r, seed, max_rounds)
+        forward = oracle_forward_arcs(r, want.partition).arcs()
+        for held in held_copies(r):
+            got = local_search_dicut(held, seed, max_rounds)
+            assert (got.partition.side, got.forward, got.backward) == (
+                want.partition.side, want.forward, want.backward)
+            assert forward_arcs(held, want.partition).arcs() == forward
+
+    def test_all_relations_on_three_vertices(self, suite_n3_loops):
+        for r in suite_n3_loops:
+            for seed in range(4):
+                for max_rounds in (1, 2, 3, 10_000):
+                    self.check(r, seed, max_rounds)
+
+    def test_counts_on_every_partition_of_three_vertices(self, suite_n3_loops):
+        partitions = [VertexPartition.from_u_set(3, {v for v in (1, 2, 3) if mask >> (v - 1) & 1})
+                      for mask in range(8)]
+        for r in suite_n3_loops:
+            for p in partitions:
+                want = oracle_dicut_size(r, p)
+                for held in held_copies(r):
+                    assert dicut_size(held, p) == want
+                    assert forward_arcs(held, p).arcs() == oracle_forward_arcs(r, p).arcs()
+
+    @settings(max_examples=120)
+    @given(relations(max_n=12), st.integers(0, 2**32), st.sampled_from([1, 2, 3, 10_000]))
+    def test_matches_oracle(self, r, seed, max_rounds):
+        self.check(r, seed, max_rounds)
+
+    def test_seeded_large_input(self):
+        self.check(seeded_relation(2000, 2000), 7)
+
+    def test_wholesale_swap(self):
+        # Round 2 swaps the sides (all six labels change, where a flip changes
+        # one), and round 3 flips on the recomputed gains.
+        r = rel(6, [(1, 3), (1, 4), (1, 6), (2, 3), (2, 5), (3, 5), (4, 6), (5, 4), (6, 1)])
+        first, second = (oracle_local_search_dicut(r, 14, k).partition.side for k in (1, 2))
+        assert all(a != b for a, b in zip(first, second))
+        for max_rounds in (1, 2, 3, 10_000):
+            self.check(r, 14, max_rounds)
+        assert local_search_dicut(r, 14).partition.side == ("U", "U", "V", "V", "U", "V")
+
+    def test_arc_held_input_builds_no_matrix(self):
+        r = seeded_relation(2000, 2001)
+        cut = local_search_dicut(r, 3)
+        assert dicut_size(r, cut.partition) == cut
+        out = forward_arcs(r, cut.partition)
+        assert out.m == cut.forward
+        assert r._adj is None and out._adj is None
 
 
 class TestDicutAsTransitive:

@@ -93,6 +93,12 @@ class TestViews:
         src, dst = by_matrix._arc_arrays()
         assert not src.flags.writeable and not dst.flags.writeable
 
+    def test_public_constructor_copies_its_matrix(self):
+        adj = np.eye(3, dtype=bool)
+        r = Relation(adj)
+        adj[0, 1] = True
+        assert adj.flags.writeable and r.arcs() == [(1, 1), (2, 2), (3, 3)]
+
     def test_views_tell_relations_apart(self):
         for a, b in [([(1, 2)], [(2, 1)]), ([(1, 1)], [(1, 2)]), ([], [(1, 2)])]:
             for x in (rel(2, a), Relation(rel(2, a).adj)):
