@@ -30,12 +30,12 @@ from transub import (
     brute_force_mts,
     dicut_as_transitive,
     dicut_size,
+    forward_arcs,
     forward_cut_table,
     greedy_bipartition,
     has_path_length_two,
     is_subrelation,
     is_transitive,
-    forward_arcs,
     local_search_dicut,
     maximal_transitive_v2,
     quarter_approx,
