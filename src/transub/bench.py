@@ -68,10 +68,12 @@ def random_relation(n: int, m: int, seed: int) -> Relation:
     return Relation._from_matrix(adj)
 
 
-def _time_ns(fn, r: Relation) -> int:
+def _timed(fn, *args, **kwargs):
+    """``(fn(*args, **kwargs), wall time in ns)``, by the monotonic clock.  The
+    one clock probe of the package: the bench and every CLI run report use it."""
     start = time.perf_counter_ns()
-    fn(r, collect_trace=False)
-    return time.perf_counter_ns() - start
+    value = fn(*args, **kwargs)
+    return value, time.perf_counter_ns() - start
 
 
 def run_scaling(config: BenchConfig) -> list[BenchRow]:
@@ -80,8 +82,9 @@ def run_scaling(config: BenchConfig) -> list[BenchRow]:
     for n in config.sizes:
         m = arc_count_for(n, config.density)
         r = random_relation(n, m, config.seed + n)
-        v1_samples = [_time_ns(maximal_transitive_v1, r) for _ in range(config.repetitions)]
-        v2_samples = [_time_ns(maximal_transitive_v2, r) for _ in range(config.repetitions)]
+        reps = range(config.repetitions)
+        v1_samples = [_timed(maximal_transitive_v1, r, collect_trace=False)[1] for _ in reps]
+        v2_samples = [_timed(maximal_transitive_v2, r, collect_trace=False)[1] for _ in reps]
         rows.append(
             BenchRow(
                 n=n,

@@ -6,9 +6,12 @@ reports go to stderr as single-line records, or as JSON with --json.  Output
 is deterministic given (input bytes, flags, seed); wall times are the only
 nondeterministic fields and are excluded from any byte-stability guarantee.
 
-Exit statuses: 0 success (all requested checks passed), 1 failed check or I/O
-error, 2 usage error, 3 parse error, 4 enumeration budget exceeded, 5
-verification failure (indicates an implementation bug).
+Exit statuses: 0 success (all requested checks passed), 1 failed check of
+the input (``check``), failed precondition or I/O error, 2 usage error, 3
+parse error, 4 enumeration or dense-size budget exceeded, 5 a result of
+``maximal``, ``maximum`` or ``closure`` failed its own check (indicates an
+implementation bug).  Those three share one tail: the result is written and
+the report emitted before the exit status is decided.
 """
 
 from __future__ import annotations
@@ -16,11 +19,10 @@ from __future__ import annotations
 import argparse
 import json
 import sys
-import time
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 from pathlib import Path
 
-from .bench import BenchConfig, doubling_ratios, run_scaling
+from .bench import BenchConfig, _timed, doubling_ratios, run_scaling
 from .errors import BudgetError, ParseError, PreconditionError
 from .extremal import (
     run_balance_experiment,
@@ -54,6 +56,11 @@ EXIT_BUDGET = 4
 EXIT_VERIFY = 5
 
 
+def _kv_line(*head: str, **fields) -> str:
+    """One report line: the ``head`` words, then ``key=value`` for each field in order."""
+    return " ".join([*head, *(f"{key}={value}" for key, value in fields.items())])
+
+
 @dataclass
 class RunReport:
     command: str
@@ -64,25 +71,11 @@ class RunReport:
     wall_time_ns: int
 
     def as_text(self) -> str:
-        if self.checks:
-            checks = ",".join(f"{name}:{'pass' if ok else 'fail'}" for name, ok in self.checks)
-        else:
-            checks = "none"
-        return (
-            f"command={self.command} n={self.n} m={self.m} "
-            f"result_size={self.result_size} checks={checks} "
-            f"wall_time_ns={self.wall_time_ns}"
-        )
+        checks = ",".join(f"{name}:{'pass' if ok else 'fail'}" for name, ok in self.checks)
+        return _kv_line(**{**asdict(self), "checks": checks or "none"})
 
     def as_json(self) -> dict:
-        return {
-            "command": self.command,
-            "n": self.n,
-            "m": self.m,
-            "result_size": self.result_size,
-            "checks": [{"name": name, "pass": ok} for name, ok in self.checks],
-            "wall_time_ns": self.wall_time_ns,
-        }
+        return {**asdict(self), "checks": [{"name": name, "pass": ok} for name, ok in self.checks]}
 
 
 def _read_text(path: str) -> str:
@@ -101,14 +94,19 @@ def _write_text(path: str | None, text: str) -> None:
 
 
 def _emit_report(report: RunReport, as_json: bool) -> None:
-    if as_json:
-        print(json.dumps(report.as_json()), file=sys.stderr)
-    else:
-        print(report.as_text(), file=sys.stderr)
+    print(json.dumps(report.as_json()) if as_json else report.as_text(), file=sys.stderr)
 
 
 def _load_relation(args) -> tuple[Relation, str]:
     return parse_relation(_read_text(args.input))
+
+
+def _finish(args, r: Relation, fmt: str, result: Relation, checks, wall: int) -> int:
+    """Write ``result`` in the input's format and report the run; a failed
+    check of the program's own result exits 5."""
+    _write_text(args.output, serialize_relation(result, fmt))
+    _emit_report(RunReport(args.command, r.n, r.m, result.m, checks, wall), args.json)
+    return EXIT_OK if all(ok for _, ok in checks) else EXIT_VERIFY
 
 
 def _maximality_verdicts(host: Relation, t: Relation) -> tuple[bool, bool, bool]:
@@ -124,79 +122,56 @@ def _maximality_verdicts(host: Relation, t: Relation) -> tuple[bool, bool, bool]
 def cmd_maximal(args) -> int:
     r, fmt = _load_relation(args)
     algorithm = maximal_transitive_v1 if args.algorithm == "v1" else maximal_transitive_v2
-    start = time.perf_counter_ns()
-    result, _ = algorithm(r, collect_trace=False)
-    wall = time.perf_counter_ns() - start
-    checks: list[tuple[str, bool]] = []
+    (result, _), wall = _timed(algorithm, r, collect_trace=False)
+    checks = []
     if args.verify:
         contained, transitive, maximal = _maximality_verdicts(r, result)
-        checks += [("transitive", transitive), ("contained", contained), ("maximal", maximal)]
-    _write_text(args.output, serialize_relation(result, fmt))
-    report = RunReport("maximal", r.n, r.m, result.m, checks, wall)
-    _emit_report(report, args.json)
-    if checks and not all(ok for _, ok in checks):
-        return EXIT_VERIFY
-    return EXIT_OK
+        checks = [("transitive", transitive), ("contained", contained), ("maximal", maximal)]
+    return _finish(args, r, fmt, result, checks, wall)
+
+
+def _maximum_result(r: Relation, args) -> Relation:
+    if args.mode == "exact":
+        return brute_force_mts(r)
+    if args.mode == "quarter":
+        return quarter_approx(r)
+    if args.mode == "dicut-exact":
+        cut = brute_force_max_dicut(r)
+    else:  # dicut-local
+        cut = local_search_dicut(r, args.seed, args.max_rounds)
+    return forward_arcs(r, cut.partition)
 
 
 def cmd_maximum(args) -> int:
     r, fmt = _load_relation(args)
-    checks: list[tuple[str, bool]] = []
-    start = time.perf_counter_ns()
-    if args.mode == "exact":
-        result = brute_force_mts(r)
-    elif args.mode == "quarter":
-        result = quarter_approx(r)
-        checks.append(("size_ge_quarter", 4 * result.m >= r.m))
-    elif args.mode == "dicut-exact":
-        cut = brute_force_max_dicut(r)
-        result = forward_arcs(r, cut.partition)
-    else:  # dicut-local
-        cut = local_search_dicut(r, args.seed, args.max_rounds)
-        result = forward_arcs(r, cut.partition)
-    wall = time.perf_counter_ns() - start
+    result, wall = _timed(_maximum_result, r, args)
+    checks = [("size_ge_quarter", 4 * result.m >= r.m)] if args.mode == "quarter" else []
     if args.verify:
-        checks.append(("transitive", is_transitive(result)))
-        checks.append(("contained", is_subrelation(result, r)))
-    _write_text(args.output, serialize_relation(result, fmt))
-    report = RunReport("maximum", r.n, r.m, result.m, checks, wall)
-    _emit_report(report, args.json)
-    if checks and not all(ok for _, ok in checks):
-        return EXIT_VERIFY
-    return EXIT_OK
+        checks += [("transitive", is_transitive(result)), ("contained", is_subrelation(result, r))]
+    return _finish(args, r, fmt, result, checks, wall)
 
 
 def cmd_closure(args) -> int:
     r, fmt = _load_relation(args)
-    start = time.perf_counter_ns()
-    result = transitive_closure(r)
-    wall = time.perf_counter_ns() - start
-    _write_text(args.output, serialize_relation(result, fmt))
+    result, wall = _timed(transitive_closure, r)
     checks = [("transitive", is_transitive(result)), ("contains_input", is_subrelation(r, result))]
-    report = RunReport("closure", r.n, r.m, result.m, checks, wall)
-    _emit_report(report, args.json)
-    return EXIT_OK
+    return _finish(args, r, fmt, result, checks, wall)
+
+
+def _check_verdicts(r: Relation, sub_path: str | None) -> tuple[list[tuple[str, bool]], int]:
+    if sub_path:
+        sub, _ = parse_relation(_read_text(sub_path))
+        contained, transitive, maximal = _maximality_verdicts(r, sub)
+        return [("contained", contained), ("transitive", transitive), ("maximal", maximal)], sub.m
+    return [("transitive", is_transitive(r)), ("path_length_two", has_path_length_two(r))], r.m
 
 
 def cmd_check(args) -> int:
     r, _ = _load_relation(args)
-    start = time.perf_counter_ns()
-    if args.sub:
-        sub, _ = parse_relation(_read_text(args.sub))
-        contained, transitive, maximal = _maximality_verdicts(r, sub)
-        checks = [("contained", contained), ("transitive", transitive), ("maximal", maximal)]
-        size = sub.m
-    else:
-        checks = [
-            ("transitive", is_transitive(r)),
-            ("path_length_two", has_path_length_two(r)),
-        ]
-        size = r.m
-    wall = time.perf_counter_ns() - start
-    report = RunReport("check", r.n, r.m, size, checks, wall)
-    _emit_report(report, args.json)
-    verdict_names = {"contained", "transitive", "maximal"}
-    ok = all(ok for name, ok in checks if name in verdict_names)
+    (checks, size), wall = _timed(_check_verdicts, r, args.sub)
+    _emit_report(RunReport("check", r.n, r.m, size, checks, wall), args.json)
+    # path_length_two describes the input; it is no verdict
+    ok = all(ok for name, ok in checks if name != "path_length_two")
     return EXIT_OK if ok else EXIT_CHECK_FAILED
 
 
@@ -204,24 +179,6 @@ def cmd_encode(args) -> int:
     r, _ = _load_relation(args)
     _write_text(args.output, cnf_to_dimacs(encode_mts_to_cnf(r)))
     return EXIT_OK
-
-
-def _trial_line(rep) -> str:
-    return (
-        f"trial seed={rep.seed} n={rep.n} m={rep.m} max_dicut={rep.max_dicut} "
-        f"bound_m4={rep.bound_m4!r} bound_upper={rep.bound_upper!r} "
-        f"balanced_fraction={rep.balanced_fraction!r}"
-    )
-
-
-def _summary_line(s) -> str:
-    return (
-        f"summary trials={s.trials} n={s.n} m={s.m} k={s.k} delta={s.delta!r} "
-        f"cprime={s.cprime!r} chernoff_bound={s.chernoff_bound!r} "
-        f"unbalanced_fraction={s.unbalanced_fraction!r} "
-        f"balance_guaranteed={s.balance_guaranteed} "
-        f"min_max_dicut={s.min_max_dicut} max_max_dicut={s.max_max_dicut}"
-    )
 
 
 def cmd_experiment(args) -> int:
@@ -234,21 +191,15 @@ def cmd_experiment(args) -> int:
             "command": "experiment",
             "n": graph.n,
             "m": graph.m,
-            "trials": [_as_dict(rep) for rep in reports],
-            "summary": _as_dict(summary),
+            "trials": [asdict(rep) for rep in reports],
+            "summary": asdict(summary),
         }
-        _write_text(args.output, json.dumps(document, indent=2) + "\n")
+        text = json.dumps(document, indent=2)
     else:
-        lines = [_trial_line(rep) for rep in reports]
-        lines.append(_summary_line(summary))
-        _write_text(args.output, "\n".join(lines) + "\n")
+        lines = [_kv_line("trial", **asdict(rep)) for rep in reports]
+        text = "\n".join([*lines, _kv_line("summary", **asdict(summary))])
+    _write_text(args.output, text + "\n")
     return EXIT_OK
-
-
-def _as_dict(obj):
-    from dataclasses import asdict
-
-    return asdict(obj)
 
 
 def cmd_bench(args) -> int:
@@ -257,29 +208,29 @@ def cmd_bench(args) -> int:
         sizes=sizes, density=args.density, repetitions=args.repetitions, seed=args.seed
     )
     rows = run_scaling(config)
+    doubling = doubling_ratios(rows)
     if args.json:
         document = {
             "command": "bench",
             "density": config.density,
             "repetitions": config.repetitions,
-            "rows": [_as_dict(row) for row in rows],
+            "rows": [asdict(row) for row in rows],
             "doubling": [
-                {"n": a, "n2": b, "v1_ratio": r1, "v2_ratio": r2}
-                for a, b, r1, r2 in doubling_ratios(rows)
+                {"n": a, "n2": b, "v1_ratio": r1, "v2_ratio": r2} for a, b, r1, r2 in doubling
             ],
         }
-        _write_text(args.output, json.dumps(document, indent=2) + "\n")
-        return EXIT_OK
-    lines = []
-    for row in rows:
-        speedup = row.v1_median_ns / row.v2_median_ns if row.v2_median_ns else float("inf")
-        lines.append(
-            f"bench n={row.n} m={row.m} v1_median_ns={row.v1_median_ns} "
-            f"v2_median_ns={row.v2_median_ns} speedup={speedup:.2f}"
-        )
-    for a, b, r1, r2 in doubling_ratios(rows):
-        lines.append(f"doubling n={a}->{b} v1_ratio={r1:.2f} v2_ratio={r2:.2f}")
-    _write_text(args.output, "\n".join(lines) + "\n")
+        text = json.dumps(document, indent=2)
+    else:
+        lines = []
+        for row in rows:
+            speedup = row.v1_median_ns / row.v2_median_ns if row.v2_median_ns else float("inf")
+            lines.append(_kv_line("bench", **asdict(row), speedup=f"{speedup:.2f}"))
+        for a, b, r1, r2 in doubling:
+            lines.append(
+                _kv_line("doubling", n=f"{a}->{b}", v1_ratio=f"{r1:.2f}", v2_ratio=f"{r2:.2f}")
+            )
+        text = "\n".join(lines)
+    _write_text(args.output, text + "\n")
     return EXIT_OK
 
 

@@ -116,34 +116,40 @@ def _greedy_sides(sym: np.ndarray) -> np.ndarray:
     return u
 
 
-def greedy_bipartition(g: UndirectedGraph) -> VertexPartition:
-    """One-pass greedy cut of size at least m/2.
-
-    Vertices are processed in ascending label order; each goes to the side
-    that maximizes edges to the opposite side among already-placed neighbors,
-    with ties resolved to U.
-    """
-    sym = np.zeros((g.n, g.n), dtype=bool)
-    for u, v in g.edges:
-        sym[u - 1, v - 1] = sym[v - 1, u - 1] = True
-    return VertexPartition(tuple(U_SIDE if s else V_SIDE for s in _greedy_sides(sym)))
-
-
-def _quarter_by_arcs(r: Relation) -> Relation:
-    # ``quarter_approx`` on the arcs: the greedy cut of ``_greedy_sides`` over
-    # lists of lower neighbours (w < v) instead of matrix rows, then the
-    # heavier direction kept by masking the arcs.
-    n = r.n
-    src, dst = r._arc_arrays()
-    cross = src != dst
-    edges = _distinct(np.maximum(src, dst)[cross] * n + np.minimum(src, dst)[cross])
+def _greedy_sides_by_lists(n: int, edges: np.ndarray) -> list[bool]:
+    # ``_greedy_sides`` over lists of lower neighbours instead of matrix rows;
+    # ``edges`` holds the distinct codes ``v * n + w`` of the edges with w < v,
+    # ascending.
     bounds = np.searchsorted(edges, np.arange(n + 1) * n).tolist()  # edges sort by v
     lower = (edges % n).tolist()
     side = [False] * n
     for v in range(n):
         placed = lower[bounds[v] : bounds[v + 1]]
         side[v] = len(placed) >= 2 * sum(map(side.__getitem__, placed))
-    u = np.array(side)
+    return side
+
+
+def greedy_bipartition(g: UndirectedGraph) -> VertexPartition:
+    """One-pass greedy cut of size at least m/2.
+
+    Vertices are processed in ascending label order; each goes to the side
+    that maximizes edges to the opposite side among already-placed neighbors,
+    with ties resolved to U.  Runs on lists of lower neighbours, with no n^2
+    matrix.
+    """
+    pairs = np.array(list(g.edges), dtype=np.int64).reshape(-1, 2) - 1  # u < v
+    side = _greedy_sides_by_lists(g.n, np.sort(pairs[:, 1] * g.n + pairs[:, 0]))
+    return VertexPartition(tuple(U_SIDE if s else V_SIDE for s in side))
+
+
+def _quarter_by_arcs(r: Relation) -> Relation:
+    # ``quarter_approx`` on the arcs: the greedy cut over lists of lower
+    # neighbours, then the heavier direction kept by masking the arcs.
+    n = r.n
+    src, dst = r._arc_arrays()
+    cross = src != dst
+    edges = _distinct(np.maximum(src, dst)[cross] * n + np.minimum(src, dst)[cross])
+    u = np.array(_greedy_sides_by_lists(n, edges))
     forward = u[src] & ~u[dst]
     backward = u[dst] & ~u[src]
     keep = forward if np.count_nonzero(forward) >= np.count_nonzero(backward) else backward

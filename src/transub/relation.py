@@ -33,10 +33,11 @@ ArcList = list[Arc]
 EDGE_LIST_FORMAT = "edge-list"
 MATRIX_FORMAT = "matrix"
 
-# Largest vertex count of an edge-list header.  Routes that need the matrix
-# build it from the arcs, and the float32 products of ``is_maximal_transitive``
-# peak near 16 bytes per cell (``transub check --sub`` at n=4000, m=4n: 270 MiB,
-# 31 MiB of it interpreter), which this limit keeps under 2 GiB.
+# Largest vertex count of an edge-list header or a matrix input.  Routes that
+# need the matrix build it from the arcs, and the float32 products of
+# ``is_maximal_transitive`` peak near 16 bytes per cell (``transub check --sub``
+# at n=4000, m=4n: 270 MiB, 31 MiB of it interpreter), which this limit keeps
+# under 2 GiB.
 DENSE_VERTEX_BUDGET = 10000
 
 # Maximal v2 and ``quarter_approx`` run on the arcs when _DENSE_RATIO * m < n^2.
@@ -286,8 +287,7 @@ def _parse_edge_list_lines(text: str) -> Relation:
                 raise ParseError(f"vertex count must be at least 1, got {n}", lineno)
             if m_declared < 0:
                 raise ParseError(f"arc count must be non-negative, got {m_declared}", lineno)
-            if n > DENSE_VERTEX_BUDGET:
-                raise BudgetError(f"{n} vertices exceeds the dense limit of {DENSE_VERTEX_BUDGET}")
+            _require_dense_budget(n)
             continue
         if len(tokens) != 2:
             raise ParseError(f"arc line must be two integers 'u v': {line!r}", lineno)
@@ -303,6 +303,11 @@ def _parse_edge_list_lines(text: str) -> Relation:
     return Relation.from_arcs(n, arcs)
 
 
+def _require_dense_budget(n: int) -> None:
+    if n > DENSE_VERTEX_BUDGET:
+        raise BudgetError(f"{n} vertices exceeds the dense limit of {DENSE_VERTEX_BUDGET}")
+
+
 def parse_matrix(text: str) -> Relation:
     lines = text.splitlines()
     while lines and not lines[-1].strip():
@@ -310,6 +315,7 @@ def parse_matrix(text: str) -> Relation:
     if not lines:
         raise ParseError("empty document")
     n = len(lines)
+    _require_dense_budget(n)
     adj = np.zeros((n, n), dtype=bool)
     for i, line in enumerate(lines):
         if len(line) != n:
@@ -465,10 +471,15 @@ def transitive_closure(r: Relation) -> Relation:
 
 
 def is_subrelation(a: Relation, b: Relation) -> bool:
-    """True iff every arc of ``a`` is an arc of ``b``."""
+    """True iff every arc of ``a`` is an arc of ``b``.  When neither holds its
+    matrix, the arcs of ``a`` are looked up among those of ``b``."""
     if a.n != b.n:
         raise ValueError(f"vertex count mismatch: {a.n} != {b.n}")
-    return not bool(np.any(a.adj & ~b.adj))
+    if a._adj is not None or b._adj is not None:
+        return not bool(np.any(a.adj & ~b.adj))
+    if b.m == 0:  # _arc_index reads the last code
+        return a.m == 0
+    return bool(np.all(_arc_index(b._src * b.n + b._dst, a._src * a.n + a._dst) >= 0))
 
 
 def underlying_graph(r: Relation) -> UndirectedGraph:

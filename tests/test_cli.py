@@ -8,12 +8,23 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from transub import DENSE_VERTEX_BUDGET, BudgetError, ParseError, parse_edge_list, parse_relation
+from transub import (
+    DENSE_VERTEX_BUDGET,
+    BudgetError,
+    ParseError,
+    Relation,
+    cli,
+    parse_edge_list,
+    parse_matrix,
+    parse_relation,
+    relation,
+)
 from transub.cli import (
     EXIT_BUDGET,
     EXIT_CHECK_FAILED,
     EXIT_OK,
     EXIT_PARSE,
+    EXIT_VERIFY,
     main,
 )
 
@@ -98,6 +109,22 @@ class TestMaximum:
         assert main(["maximum", "--input", cycle_file, "--mode", "dicut-exact"]) == EXIT_OK
         assert parse_edge_list(capsys.readouterr().out).m == 1
 
+    def test_dicut_local_verify_builds_no_matrix(self, tmp_path, monkeypatch, capsys):
+        parsed = []
+
+        def parse_and_keep(text):
+            parsed.append(parse_relation(text))
+            return parsed[-1]
+
+        monkeypatch.setattr(cli, "parse_relation", parse_and_keep)
+        src = tmp_path / "r.rel"
+        src.write_text("6 7\n1 2\n2 3\n3 1\n3 4\n4 5\n5 6\n6 4\n")
+        argv = ["maximum", "--input", str(src), "--mode", "dicut-local", "--verify"]
+        assert main(argv) == EXIT_OK
+        assert "checks=transitive:pass,contained:pass " in capsys.readouterr().err
+        (r, fmt), = parsed
+        assert fmt == "edge-list" and r._adj is None
+
     def test_budget_exit(self, tmp_path, capsys):
         arcs = [(i, j) for i in range(1, 7) for j in range(1, 7) if i != j]
         src = tmp_path / "big.rel"
@@ -110,6 +137,16 @@ class TestClosureAndCheck:
     def test_closure_of_cycle_is_full(self, cycle_file, capsys):
         assert main(["closure", "--input", cycle_file]) == EXIT_OK
         assert parse_edge_list(capsys.readouterr().out).m == 9
+
+    def test_closure_failing_its_check_is_verify_exit(self, cycle_file, monkeypatch, capsys):
+        def broken_closure(r):
+            return Relation.from_arcs(r.n, [(1, 2), (2, 3)])
+
+        monkeypatch.setattr(cli, "transitive_closure", broken_closure)
+        assert main(["closure", "--input", cycle_file]) == EXIT_VERIFY
+        captured = capsys.readouterr()
+        assert captured.out == "3 2\n1 2\n2 3\n"  # the result is still written
+        assert "checks=transitive:fail,contains_input:fail " in captured.err
 
     def test_check_transitive_verdict(self, tmp_path, capsys):
         src = tmp_path / "t.rel"
@@ -176,6 +213,17 @@ class TestHugeHeader:
         assert main(["check", "--input", str(src)]) == EXIT_BUDGET
         err = capsys.readouterr().err
         assert "1000000 vertices" in err and str(DENSE_VERTEX_BUDGET) in err
+
+    def test_matrix_rows_over_budget(self, tmp_path, monkeypatch, capsys):
+        monkeypatch.setattr(relation, "DENSE_VERTEX_BUDGET", 3)
+        assert parse_matrix("010\n001\n000\n").m == 2
+        text = "0110\n0011\n1001\n0100\n"
+        with pytest.raises(BudgetError, match="4 vertices exceeds the dense limit of 3"):
+            parse_matrix(text)
+        src = tmp_path / "m.rel"
+        src.write_text(text)
+        assert main(["check", "--input", str(src)]) == EXIT_BUDGET
+        assert capsys.readouterr().err == "budget error: 4 vertices exceeds the dense limit of 3\n"
 
 
 class TestEncode:

@@ -1,4 +1,5 @@
 import random
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -123,6 +124,20 @@ class TestGreedyBipartition:
     @given(undirected_graphs(max_n=12))
     def test_matches_neighbor_set_oracle(self, g):
         assert greedy_bipartition(g).side == oracle_greedy_bipartition(g)
+
+    def test_path_builds_no_matrix(self):
+        # An n-by-n matrix at n=20000 is 400 MB; neighbour lists stay under 16 MiB.
+        n = 20000
+        g = UndirectedGraph.from_edges(n, [(v, v + 1) for v in range(1, n)])
+        greedy_bipartition(UndirectedGraph.from_edges(2, [(1, 2)]))  # first-use costs
+        tracemalloc.start()
+        try:
+            p = greedy_bipartition(g)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert p.side == ("U", "V") * (n // 2)
+        assert peak < 16 * 2**20, f"{peak / 2**20:.1f} MiB"
 
 
 class TestDicutSize:

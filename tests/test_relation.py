@@ -43,6 +43,17 @@ def rel(n, arcs):
     return Relation.from_arcs(n, arcs)
 
 
+@st.composite
+def relation_pairs(draw):
+    """Two relations on one vertex set; ``b`` keeps some arcs of ``a`` and adds
+    others, so both containment verdicts are common."""
+    a = draw(relations(max_n=9))
+    kept = draw(st.lists(st.sampled_from(a.arcs()), max_size=a.m)) if a.m else []
+    pairs = ordered_pairs(a.n, loops=True)
+    extra = draw(st.lists(st.sampled_from(pairs), max_size=len(pairs) // 4))
+    return a, rel(a.n, kept + extra)
+
+
 class TestRelationType:
     def test_counts_and_arcs(self):
         r = rel(3, [(1, 2), (2, 3), (1, 2)])
@@ -508,6 +519,21 @@ class TestSubrelation:
     def test_mismatched_sizes(self):
         with pytest.raises(ValueError, match="mismatch"):
             is_subrelation(rel(2, []), rel(3, []))
+
+    @settings(max_examples=150)
+    @given(relation_pairs())
+    @example((rel(3, [(1, 2)]), rel(3, [])))
+    @example((rel(1, []), rel(1, [])))
+    def test_every_view_matches_arc_set_inclusion(self, pair):
+        a, b = pair
+        expected = set(a.arcs()) <= set(b.arcs())
+        for a_arcs in (True, False):
+            for b_arcs in (True, False):
+                x = rel(a.n, a.arcs()) if a_arcs else Relation(a.adj)
+                y = rel(b.n, b.arcs()) if b_arcs else Relation(b.adj)
+                assert is_subrelation(x, y) == expected
+                if a_arcs and b_arcs:
+                    assert x._adj is None and y._adj is None  # no matrix was built
 
 
 class TestUnderlyingGraph:
