@@ -11,11 +11,12 @@ arrays, so relations are safe to share across threads.
 
 Routes that have both a matrix and an arc form pick one from n and m alone,
 never from the view held: the maximal v2 sweep and ``quarter_approx`` run on
-the arcs when ``_DENSE_RATIO * m < n^2``.  Transitivity is checked by the
-cheaper of two routes: walking all W two-arc walks ``a->b->c`` (W = sum over b
-of indeg * outdeg, at most nm) in O(n + m + W log m) time, or squaring the
-matrix as one float32 product in O(n^3); the walks are taken when
-``_WALK_COST * W < n^3``.  The same walk enumeration, ``_two_arc_walks``,
+the arcs when ``_DENSE_RATIO * m < n^2``.  The exception is
+``is_subrelation``, which builds no matrix for two relations that hold none.
+Transitivity is checked by the cheaper of two routes: walking all W two-arc
+walks ``a->b->c`` (W = sum over b of indeg * outdeg, at most nm) in
+O(n + m + W log m) time, or squaring the matrix as one float32 product in
+O(n^3); the walks are taken when ``_WALK_COST * W < n^3``.  The same walk enumeration, ``_two_arc_walks``,
 yields the CNF and branch-and-bound constraints of ``_composition_walks``.
 """
 
