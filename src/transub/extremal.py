@@ -88,7 +88,7 @@ class ExperimentSummary:
 
 def balance_verdict(forward: int, backward: int, delta: float) -> BalanceVerdict:
     """Evaluate |forward - backward| <= delta * (forward + backward) / 2."""
-    if delta < 0:
+    if not delta >= 0:  # also rejects NaN
         raise ValueError(f"delta must be non-negative, got {delta}")
     cut_total = forward + backward
     imbalance = abs(forward - backward)
@@ -108,10 +108,11 @@ def _balanced_fraction(adj: np.ndarray, k: int, delta: float) -> float:
     backward = forward_cut_table(adj.T)[1::2]
     totals = forward + backward
     large = totals >= k
-    if not large.any():
+    count = np.count_nonzero(large)
+    if not count:
         return 1.0
-    balanced = np.abs(forward - backward)[large] <= delta * totals[large] / 2
-    return float(balanced.sum() / large.sum())
+    balanced = np.count_nonzero(large & (np.abs(forward - backward) <= delta * totals / 2))
+    return balanced / count
 
 
 def check_k_delta_balanced(
@@ -122,7 +123,7 @@ def check_k_delta_balanced(
 ) -> bool:
     """True iff every cut of total size >= k is delta-balanced, exhaustively
     over all 2^(n-1) distinct bipartitions."""
-    if delta < 0:
+    if not delta >= 0:  # also rejects NaN
         raise ValueError(f"delta must be non-negative, got {delta}")
     if r.n > vertex_budget:
         raise BudgetError(
@@ -171,8 +172,10 @@ def run_balance_experiment(
     fraction of size->=k cuts that are delta-balanced."""
     if trials < 1:
         raise ValueError(f"trials must be at least 1, got {trials}")
-    if delta < 0:
+    if not delta >= 0:  # also rejects NaN
         raise ValueError(f"delta must be non-negative, got {delta}")
+    if math.isnan(cprime):
+        raise ValueError(f"cprime must be a number, got {cprime}")
     triangle = find_triangle(g)
     if triangle is not None:
         raise TriangleFoundError(triangle)

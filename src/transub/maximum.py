@@ -3,8 +3,9 @@
 Exact routines are enumeration-based and budgeted so the worst case stays
 around 10^7 candidate checks: ``brute_force_mts`` searches arc subsets (default
 budget 22 arcs) and ``brute_force_max_dicut`` scores every vertex bipartition
-(default budget 20 vertices) through the forward cut table, a few float32
-products of half-mask side-bit matrices with blocks of the adjacency matrix.
+(default budget 20 vertices) through the forward cut table, an int32 table
+built by subset doubling, one vertex at a time, with no float array and no
+matrix product.
 ``quarter_approx`` keeps the heavier direction of a greedy cut, taken on the
 adjacency matrix or, for sparse relations, on neighbour lists, and always
 returns a transitive arc set of size at least m/4.  The dicut counts
@@ -234,33 +235,35 @@ def brute_force_mts(r: Relation, arc_budget: int = DEFAULT_ARC_BUDGET) -> Relati
 # ---------------------------------------------------------------------------
 
 
-def _side_bits(h: int) -> np.ndarray:
-    # Row ``mask`` holds the 0/1 side bits of a half-mask: column v is 1 when
-    # vertex v of the half is in U.
-    return ((np.arange(1 << h)[:, None] >> np.arange(h)) & 1).astype(np.float32)
-
-
 def forward_cut_table(adj: np.ndarray) -> np.ndarray:
-    """Forward cut size for every vertex bipartition.
+    """Forward cut size for every vertex bipartition, as an int32 table.
 
     Entry ``mask`` (bit v set means vertex v+1 is in U) counts arcs from U to
-    V.  Vertices split into a low half ``a`` (``h`` bits) and a high half
-    ``b``, with side-bit matrices ``X_a`` and ``X_b``.  Arcs within a half
-    count as the row sums of ``(X . A) * (1 - X)``, and the arcs between the
-    halves as ``[X_b . A_ba, (1 - X_b) . A_ab^T] . [1 - X_a, X_a]^T``, laid out
-    ``[mask_b, mask_a]`` so that the C-order ravel is indexed by
-    ``mask_a | mask_b << h``.  Loops fall on the diagonal, where
-    ``X * (1 - X)`` is zero.  float32 is exact: every count is at most
-    n^2 < 2^24.
+    V; loops count in neither direction.  The table doubles one vertex at a
+    time: with the vertices above v all in V, moving v into U gains its
+    out-arcs ``out(v)`` and loses every arc between v and the U side, so
+
+        T[mask | 1 << v] = T[mask] + out(v) - sum(w[v, u] for u in mask)
+
+    for every mask over the vertices below v, where ``w = A + A^T`` without
+    the diagonal.  The sum for all masks is itself built by doubling, in place
+    in the half of the table it feeds.  About 2 * 2^n int32 additions, with no
+    float array and no matrix product.
     """
     n = adj.shape[0]
-    h = (n + 1) // 2
-    a = adj.astype(np.float32)
-    xa, xb = _side_bits(h), _side_bits(n - h)
-    same_a = ((xa @ a[:h, :h]) * (1 - xa)).sum(axis=1)
-    same_b = ((xb @ a[h:, h:]) * (1 - xb)).sum(axis=1)
-    cross = np.hstack([xb @ a[h:, :h], (1 - xb) @ a[:h, h:].T]) @ np.hstack([1 - xa, xa]).T
-    return (cross + same_a + same_b[:, None]).astype(np.int32).ravel()
+    a = adj.astype(np.int32)
+    np.fill_diagonal(a, 0)
+    w = a + a.T
+    out = a.sum(axis=1)
+    table = np.zeros(1 << n, dtype=np.int32)
+    for v in range(n):
+        size = 1 << v
+        half = table[size : 2 * size]
+        half[0] = -out[v]  # half[mask] becomes sum(w[v, u] for u in mask) - out(v)
+        for k in range(v):
+            np.add(half[: 1 << k], w[v, k], out=half[1 << k : 2 << k])
+        np.subtract(table[:size], half, out=half)
+    return table
 
 
 def _partition_from_mask(mask: int, n: int) -> VertexPartition:

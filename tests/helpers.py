@@ -3,8 +3,9 @@
 Oracles here deliberately avoid the library's code paths: transitivity by
 triple loop, closure by iterated squaring over bitmask rows, maximality by one
 closure per candidate arc, the maximal sweep by a cell scan over nested lists,
-cuts by direct enumeration or by masking the matrix, the local search by a
-rescan of every vertex each round, the greedy cut by neighbor sets, CNF
+cuts by direct enumeration, by masking the matrix or by float32 side-bit
+products, the balance scan by one verdict per bipartition, the local search
+by a rescan of every vertex each round, the greedy cut by neighbor sets, CNF
 clauses by a scan over every cell triple, the matrix format by a per-cell
 join.  They are the second route of every dual-route check.
 """
@@ -17,7 +18,7 @@ import random
 import numpy as np
 from hypothesis import strategies as st
 
-from transub import DicutResult, Relation, UndirectedGraph, VertexPartition
+from transub import DicutResult, Relation, UndirectedGraph, VertexPartition, balance_verdict
 
 
 # ---------------------------------------------------------------------------
@@ -164,6 +165,50 @@ def oracle_forward_counts(r: Relation) -> list[int]:
         )
         for mask in range(1 << n)
     ]
+
+
+def _side_bits(h: int) -> np.ndarray:
+    # Row ``mask`` holds the 0/1 side bits of a half-mask: column v is 1 when
+    # vertex v of the half is in U.
+    return ((np.arange(1 << h)[:, None] >> np.arange(h)) & 1).astype(np.float32)
+
+
+def oracle_forward_cut_table_products(adj: np.ndarray) -> np.ndarray:
+    """Forward cut size for every vertex bipartition.
+
+    Entry ``mask`` (bit v set means vertex v+1 is in U) counts arcs from U to
+    V.  Vertices split into a low half ``a`` (``h`` bits) and a high half
+    ``b``, with side-bit matrices ``X_a`` and ``X_b``.  Arcs within a half
+    count as the row sums of ``(X . A) * (1 - X)``, and the arcs between the
+    halves as ``[X_b . A_ba, (1 - X_b) . A_ab^T] . [1 - X_a, X_a]^T``, laid out
+    ``[mask_b, mask_a]`` so that the C-order ravel is indexed by
+    ``mask_a | mask_b << h``.  Loops fall on the diagonal, where
+    ``X * (1 - X)`` is zero.  float32 is exact: every count is at most
+    n^2 < 2^24.
+    """
+    n = adj.shape[0]
+    h = (n + 1) // 2
+    a = adj.astype(np.float32)
+    xa, xb = _side_bits(h), _side_bits(n - h)
+    same_a = ((xa @ a[:h, :h]) * (1 - xa)).sum(axis=1)
+    same_b = ((xb @ a[h:, h:]) * (1 - xb)).sum(axis=1)
+    cross = np.hstack([xb @ a[h:, :h], (1 - xb) @ a[:h, h:].T]) @ np.hstack([1 - xa, xa]).T
+    return (cross + same_a + same_b[:, None]).astype(np.int32).ravel()
+
+
+def oracle_balanced_fraction(r: Relation, k: int, delta: float) -> float:
+    """Fraction of the cuts of total size >= k that ``balance_verdict`` calls
+    balanced, 1.0 when there is none, over the side masks with vertex 1 in U;
+    the backward counts are the forward counts of the reversed relation."""
+    forward = oracle_forward_counts(r)
+    backward = oracle_forward_counts(Relation.from_arcs(r.n, [(v, u) for u, v in r.arcs()]))
+    large = balanced = 0
+    for mask in range(1, 1 << r.n, 2):
+        verdict = balance_verdict(forward[mask], backward[mask], delta)
+        if verdict.cut_total >= k:
+            large += 1
+            balanced += verdict.balanced
+    return balanced / large if large else 1.0
 
 
 def oracle_dicut_size(r: Relation, p: VertexPartition) -> DicutResult:

@@ -251,6 +251,19 @@ class TestExperiment:
             main(["experiment", "--n", "4", "--m", "4", "--trials", "0"])
         assert exc.value.code == 2
 
+    @pytest.mark.parametrize(
+        "flag, message",
+        [
+            ("--delta", "error: delta must be non-negative, got nan\n"),
+            ("--cprime", "error: cprime must be a number, got nan\n"),
+        ],
+    )
+    def test_nan_parameter_is_usage_error(self, flag, message, capsys):
+        argv = ["experiment", "--n", "4", "--m", "4", "--trials", "1", flag, "nan"]
+        assert main(argv) == 2
+        out, err = capsys.readouterr()
+        assert (out, err) == ("", message)
+
     def test_byte_identical_reruns(self, capsys):
         argv = ["experiment", "--n", "6", "--m", "8", "--trials", "4", "--seed", "9"]
         assert main(argv) == EXIT_OK

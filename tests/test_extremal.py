@@ -1,11 +1,13 @@
 import math
 import random
 
+import numpy as np
 import pytest
-from hypothesis import given
+from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from helpers import random_digraph
+from helpers import oracle_balanced_fraction, random_digraph, relations
+from transub import extremal
 from transub import (
     BudgetError,
     Relation,
@@ -83,6 +85,10 @@ class TestBalanceVerdict:
         with pytest.raises(ValueError, match="non-negative"):
             balance_verdict(1, 1, -0.1)
 
+    def test_nan_delta(self):
+        with pytest.raises(ValueError, match="non-negative"):
+            balance_verdict(1, 1, math.nan)
+
     @given(
         st.integers(min_value=0, max_value=200),
         st.integers(min_value=0, max_value=200),
@@ -138,6 +144,25 @@ class TestKDeltaBalanced:
                 if check_k_delta_balanced(r, k, delta):
                     assert check_k_delta_balanced(r, k + 1, delta)
                     break
+
+    @pytest.mark.parametrize("delta", [-0.1, math.nan])
+    def test_negative_or_nan_delta(self, delta):
+        with pytest.raises(ValueError, match="non-negative"):
+            check_k_delta_balanced(rel(2, [(1, 2)]), 1, delta)
+
+    @settings(max_examples=150)
+    @given(
+        relations(max_n=9),
+        st.data(),
+        st.sampled_from([0.0, math.inf]) | st.floats(min_value=0, max_value=4),
+    )
+    def test_balance_scan_matches_verdict_oracle(self, r, data, delta):
+        # k runs from below 1 (every cut is large) to above m (none is)
+        k = data.draw(st.integers(min_value=-2, max_value=r.m + 2))
+        expected = oracle_balanced_fraction(r, k, delta)
+        with np.errstate(invalid="ignore"):  # inf * 0 on empty cuts, as in the oracle
+            assert extremal._balanced_fraction(r.adj, k, delta) == expected
+            assert check_k_delta_balanced(r, k, delta) == (expected == 1.0)
 
     def test_matches_explicit_enumeration(self):
         rng = random.Random(23)
@@ -209,6 +234,17 @@ class TestBalanceExperiment:
         g = UndirectedGraph.from_edges(3, [(1, 2), (2, 3), (1, 3)])
         with pytest.raises(TriangleFoundError):
             run_balance_experiment(g, 1, 1, 0.5, 0, 1.0)
+
+    @pytest.mark.parametrize("delta", [-0.1, math.nan])
+    def test_negative_or_nan_delta(self, delta):
+        g = UndirectedGraph.from_edges(2, [(1, 2)])
+        with pytest.raises(ValueError, match="non-negative"):
+            run_balance_experiment(g, 1, 1, delta, 0, 1.0)
+
+    def test_nan_cprime(self):
+        g = UndirectedGraph.from_edges(2, [(1, 2)])
+        with pytest.raises(ValueError, match="cprime"):
+            run_balance_experiment(g, 1, 1, 0.5, 0, math.nan)
 
     def test_trials_validation(self):
         g = UndirectedGraph.from_edges(2, [(1, 2)])

@@ -12,6 +12,7 @@ from helpers import (
     oracle_dicut_size,
     oracle_forward_arcs,
     oracle_forward_counts,
+    oracle_forward_cut_table_products,
     oracle_greedy_bipartition,
     oracle_local_search_dicut,
     oracle_max_transitive_size,
@@ -231,6 +232,47 @@ class TestForwardCutTable:
     @given(relations(max_n=9))
     def test_matches_oracle(self, r):
         self.check(r)
+
+    @staticmethod
+    def seeded_full_budget_matrix():
+        # loops and 2-cycles included: the diagonal must drop out, and both
+        # arcs of a 2-cycle cross every cut that splits them
+        n = maximum.DEFAULT_VERTEX_BUDGET
+        rng = np.random.default_rng(20)
+        adj = rng.random((n, n)) < 0.3
+        adj[np.arange(0, n, 3), np.arange(0, n, 3)] = True
+        adj[[0, 1, 5, 13], [1, 0, 13, 5]] = True
+        assert adj.diagonal().any() and (adj & adj.T & ~np.eye(n, dtype=bool)).any()
+        return adj
+
+    def test_matches_products_oracle(self):
+        mats = [r.adj for n in (1, 2) for r in all_relations(n, loops=True)]
+        mats.append(self.seeded_full_budget_matrix())
+        for adj in mats:
+            for view in (adj, adj.T):
+                table = forward_cut_table(view)
+                expected = oracle_forward_cut_table_products(view)
+                assert table.dtype == expected.dtype == np.int32
+                assert table.shape == expected.shape == (1 << len(adj),)
+                assert np.array_equal(table, expected)
+
+    @settings(max_examples=60)
+    @given(relations(max_n=9))
+    def test_transpose_is_reversed_table(self, r):
+        # complementing a mask swaps U and V, so every backward count is the
+        # forward count of the complement mask
+        assert np.array_equal(forward_cut_table(r.adj.T), forward_cut_table(r.adj)[::-1])
+
+    def test_full_budget_table_peak_memory(self):
+        adj = self.seeded_full_budget_matrix()
+        tracemalloc.start()
+        try:
+            forward_cut_table(adj.T)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        # the int32 table itself is 4 MiB
+        assert peak <= 8 << 20
 
 
 class TestBruteForceMaxDicut:
