@@ -53,7 +53,6 @@ from .maximum import (
 )
 from .extremal import (
     BalanceVerdict,
-    DEFAULT_EXHAUSTIVE_VERTEX_BUDGET,
     ExperimentSummary,
     TrialReport,
     balance_verdict,

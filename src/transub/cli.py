@@ -238,7 +238,6 @@ def _add_io_options(sub, needs_input=True):
     if needs_input:
         sub.add_argument("--input", required=True, help="input relation file ('-' for stdin)")
     sub.add_argument("--output", default=None, help="output path (default: stdout)")
-    sub.add_argument("--seed", type=int, default=0, help="random seed (default 0)")
     sub.add_argument("--json", action="store_true", help="machine-readable reports")
 
 
@@ -261,6 +260,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument(
         "--mode", choices=("exact", "quarter", "dicut-exact", "dicut-local"), default="exact"
     )
+    p.add_argument("--seed", type=int, default=0, help="local search seed (default 0)")
     p.add_argument("--max-rounds", type=int, default=10_000, help="local search round cap")
     p.add_argument("--verify", action="store_true", help="check the output against the oracle")
     p.set_defaults(func=cmd_maximum)
@@ -280,6 +280,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = subparsers.add_parser("experiment", help="random orientation balance experiment")
     _add_io_options(p, needs_input=False)
+    p.add_argument("--seed", type=int, default=0, help="graph and orientation seed (default 0)")
     p.add_argument("--n", type=int, required=True, help="vertex count of the bipartite graph")
     p.add_argument("--m", type=int, required=True, help="edge count of the bipartite graph")
     p.add_argument("--trials", type=int, default=10)
@@ -290,6 +291,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = subparsers.add_parser("bench", help="wall-time scaling of the two maximal routes")
     _add_io_options(p, needs_input=False)
+    p.add_argument("--seed", type=int, default=0, help="input seed (default 0)")
     p.add_argument("--sizes", default="500,1000,2000", help="comma-separated ascending sizes")
     p.add_argument("--density", choices=("sparse", "dense"), default="sparse")
     p.add_argument("--repetitions", type=int, default=3)

@@ -3,9 +3,8 @@
 Exact routines are enumeration-based and budgeted so the worst case stays
 around 10^7 candidate checks: ``brute_force_mts`` searches arc subsets (default
 budget 22 arcs) and ``brute_force_max_dicut`` scores every vertex bipartition
-(default budget 20 vertices) through the forward cut table, an int32 table
-built by subset doubling, one vertex at a time, with no float array and no
-matrix product.
+through the forward cut table (at most 20 vertices), an int32 table built by
+subset doubling, one vertex at a time, with no float array and no matrix product.
 ``quarter_approx`` keeps the heavier direction of a greedy cut, taken on the
 adjacency matrix or, for sparse relations, on neighbour lists, and always
 returns a transitive arc set of size at least m/4.  The dicut counts
@@ -248,9 +247,14 @@ def forward_cut_table(adj: np.ndarray) -> np.ndarray:
     for every mask over the vertices below v, where ``w = A + A^T`` without
     the diagonal.  The sum for all masks is itself built by doubling, in place
     in the half of the table it feeds.  About 2 * 2^n int32 additions, with no
-    float array and no matrix product.
+    float array and no matrix product.  More than ``DEFAULT_VERTEX_BUDGET``
+    vertices raise ``BudgetError`` before anything is allocated.
     """
     n = adj.shape[0]
+    if n > DEFAULT_VERTEX_BUDGET:
+        raise BudgetError(
+            f"{n} vertices exceeds the enumeration budget of {DEFAULT_VERTEX_BUDGET}"
+        )
     a = adj.astype(np.int32)
     np.fill_diagonal(a, 0)
     w = a + a.T
@@ -281,15 +285,9 @@ def _lexicographic_keys(masks: np.ndarray, n: int) -> np.ndarray:
     return keys
 
 
-def brute_force_max_dicut(
-    r: Relation, vertex_budget: int = DEFAULT_VERTEX_BUDGET
-) -> DicutResult:
+def brute_force_max_dicut(r: Relation) -> DicutResult:
     """Exhaustive maximum directed cut; ties resolved to the lexicographically
     smallest side vector (U before V, vertex 1 first)."""
-    if r.n > vertex_budget:
-        raise BudgetError(
-            f"{r.n} vertices exceeds the enumeration budget of {vertex_budget}"
-        )
     table = forward_cut_table(r.adj)
     best = int(table.max())
     candidates = np.flatnonzero(table == best)

@@ -484,12 +484,11 @@ def is_subrelation(a: Relation, b: Relation) -> bool:
 
 
 def underlying_graph(r: Relation) -> UndirectedGraph:
-    """Forget arc directions and drop loops."""
-    sym = r.adj | r.adj.T
-    edges = frozenset(
-        (int(u) + 1, int(v) + 1) for u, v in np.argwhere(np.triu(sym, k=1))
-    )
-    return UndirectedGraph(r.n, edges)
+    """Forget arc directions and drop loops; reads the arcs and builds no matrix."""
+    src, dst = r._arc_arrays()
+    cross = src != dst
+    low, high = np.minimum(src, dst)[cross] + 1, np.maximum(src, dst)[cross] + 1
+    return UndirectedGraph(r.n, frozenset(zip(low.tolist(), high.tolist())))
 
 
 def find_triangle(g: UndirectedGraph) -> tuple[int, int, int] | None:

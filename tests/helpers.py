@@ -4,10 +4,11 @@ Oracles here deliberately avoid the library's code paths: transitivity by
 triple loop, closure by iterated squaring over bitmask rows, maximality by one
 closure per candidate arc, the maximal sweep by a cell scan over nested lists,
 cuts by direct enumeration, by masking the matrix or by float32 side-bit
-products, the balance scan by one verdict per bipartition, the local search
-by a rescan of every vertex each round, the greedy cut by neighbor sets, CNF
-clauses by a scan over every cell triple, the matrix format by a per-cell
-join.  They are the second route of every dual-route check.
+products, the balance scan by the direct formula per bipartition, the
+underlying graph by the upper triangle of the symmetrized matrix, the local
+search by a rescan of every vertex each round, the greedy cut by neighbor
+sets, CNF clauses by a scan over every cell triple, the matrix format by a
+per-cell join.  They are the second route of every dual-route check.
 """
 
 from __future__ import annotations
@@ -18,7 +19,7 @@ import random
 import numpy as np
 from hypothesis import strategies as st
 
-from transub import DicutResult, Relation, UndirectedGraph, VertexPartition, balance_verdict
+from transub import DicutResult, Relation, UndirectedGraph, VertexPartition
 
 
 # ---------------------------------------------------------------------------
@@ -197,18 +198,28 @@ def oracle_forward_cut_table_products(adj: np.ndarray) -> np.ndarray:
 
 
 def oracle_balanced_fraction(r: Relation, k: int, delta: float) -> float:
-    """Fraction of the cuts of total size >= k that ``balance_verdict`` calls
-    balanced, 1.0 when there is none, over the side masks with vertex 1 in U;
-    the backward counts are the forward counts of the reversed relation."""
+    """Fraction of the cuts of total size >= k with |forward - backward| <=
+    delta * total / 2, 1.0 when there is none, over the side masks with vertex
+    1 in U; the backward counts are the forward counts of the reversed
+    relation.  A cut with no imbalance is balanced for every delta, infinite
+    included, so the formula is never evaluated as inf * 0."""
     forward = oracle_forward_counts(r)
     backward = oracle_forward_counts(Relation.from_arcs(r.n, [(v, u) for u, v in r.arcs()]))
     large = balanced = 0
     for mask in range(1, 1 << r.n, 2):
-        verdict = balance_verdict(forward[mask], backward[mask], delta)
-        if verdict.cut_total >= k:
+        total, imbalance = forward[mask] + backward[mask], abs(forward[mask] - backward[mask])
+        if total >= k:
             large += 1
-            balanced += verdict.balanced
+            balanced += imbalance == 0 or imbalance <= delta * total / 2
     return balanced / large if large else 1.0
+
+
+def oracle_underlying_graph(r: Relation) -> UndirectedGraph:
+    """Arc directions forgotten and loops dropped, from the upper triangle of
+    the symmetrized matrix."""
+    sym = r.adj | r.adj.T
+    edges = frozenset((int(u) + 1, int(v) + 1) for u, v in np.argwhere(np.triu(sym, k=1)))
+    return UndirectedGraph(r.n, edges)
 
 
 def oracle_dicut_size(r: Relation, p: VertexPartition) -> DicutResult:

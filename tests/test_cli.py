@@ -132,6 +132,20 @@ class TestMaximum:
         assert main(["maximum", "--input", str(src), "--mode", "exact"]) == EXIT_BUDGET
         assert "budget" in capsys.readouterr().err
 
+    def test_dicut_exact_budget_exit(self, tmp_path, capsys):
+        src = tmp_path / "wide.rel"
+        src.write_text("21 2\n1 2\n20 21\n")
+        assert main(["maximum", "--input", str(src), "--mode", "dicut-exact"]) == EXIT_BUDGET
+        assert capsys.readouterr() == (
+            "", "budget error: 21 vertices exceeds the enumeration budget of 20\n"
+        )
+
+    @pytest.mark.parametrize("command", ["maximal", "closure", "check", "encode"])
+    def test_seed_only_where_read(self, command, path_file):
+        with pytest.raises(SystemExit) as exc:
+            main([command, "--input", path_file, "--seed", "1"])
+        assert exc.value.code == 2
+
 
 class TestClosureAndCheck:
     def test_closure_of_cycle_is_full(self, cycle_file, capsys):
@@ -263,6 +277,23 @@ class TestExperiment:
         assert main(argv) == 2
         out, err = capsys.readouterr()
         assert (out, err) == ("", message)
+
+    def test_over_budget(self, capsys):
+        argv = ["experiment", "--n", "21", "--m", "10", "--trials", "1"]
+        assert main(argv) == EXIT_BUDGET
+        assert capsys.readouterr() == (
+            "", "budget error: 21 vertices exceeds the enumeration budget of 20\n"
+        )
+
+    @pytest.mark.parametrize(
+        "k, delta, field",
+        [("0", "inf", "balanced_fraction=1.0"), ("-1", "1e10", "chernoff_bound=inf")],
+    )
+    def test_extreme_delta(self, k, delta, field, capsys):
+        argv = ["experiment", "--n", "4", "--m", "4", "--trials", "1", "--k", k, "--delta", delta]
+        assert main(argv) == EXIT_OK
+        out, err = capsys.readouterr()
+        assert err == "" and field in out.split()
 
     def test_byte_identical_reruns(self, capsys):
         argv = ["experiment", "--n", "6", "--m", "8", "--trials", "4", "--seed", "9"]

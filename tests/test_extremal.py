@@ -1,7 +1,6 @@
 import math
 import random
 
-import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -89,6 +88,10 @@ class TestBalanceVerdict:
         with pytest.raises(ValueError, match="non-negative"):
             balance_verdict(1, 1, math.nan)
 
+    def test_infinite_delta(self):
+        assert balance_verdict(0, 0, math.inf).balanced
+        assert balance_verdict(5, 0, math.inf).balanced
+
     @given(
         st.integers(min_value=0, max_value=200),
         st.integers(min_value=0, max_value=200),
@@ -132,8 +135,13 @@ class TestKDeltaBalanced:
         assert check_k_delta_balanced(rel(2, [(1, 2), (2, 1)]), 1, 0.0)
 
     def test_budget(self):
-        with pytest.raises(BudgetError, match="18"):
-            check_k_delta_balanced(Relation.empty(19), 1, 0.5)
+        with pytest.raises(BudgetError, match="21 vertices exceeds the enumeration budget of 20"):
+            check_k_delta_balanced(Relation.empty(21), 1, 0.5)
+
+    def test_full_budget(self):
+        # every cut of the empty relation is empty, and balanced even for an infinite delta
+        assert check_k_delta_balanced(Relation.empty(20), 0, math.inf)
+        assert not check_k_delta_balanced(rel(20, [(1, 20)]), 1, 0.0)
 
     def test_monotone_in_k(self):
         rng = random.Random(17)
@@ -160,9 +168,8 @@ class TestKDeltaBalanced:
         # k runs from below 1 (every cut is large) to above m (none is)
         k = data.draw(st.integers(min_value=-2, max_value=r.m + 2))
         expected = oracle_balanced_fraction(r, k, delta)
-        with np.errstate(invalid="ignore"):  # inf * 0 on empty cuts, as in the oracle
-            assert extremal._balanced_fraction(r.adj, k, delta) == expected
-            assert check_k_delta_balanced(r, k, delta) == (expected == 1.0)
+        assert extremal._balanced_fraction(r.adj, k, delta) == expected
+        assert check_k_delta_balanced(r, k, delta) == (expected == 1.0)
 
     def test_matches_explicit_enumeration(self):
         rng = random.Random(23)
@@ -223,6 +230,15 @@ class TestBalanceExperiment:
         assert 0.0 <= summary.unbalanced_fraction <= 1.0
         assert summary.min_max_dicut <= summary.max_max_dicut
         assert summary.chernoff_bound == 2.0**10 * 2 * math.exp(-0.25 * 7 / 6)
+
+    def test_union_bound_edges(self):
+        g = UndirectedGraph.from_edges(4, [(1, 3)])
+        reports = run_balance_experiment(g, 1, 0, 1.0, 0, 1.0)
+        # k == 0: the exponent is 0 even for an infinite delta
+        assert summarize_balance_experiment(reports, 0, math.inf, 1.0).chernoff_bound == 32.0
+        # exp beyond the float range
+        assert summarize_balance_experiment(reports, -1, 1e10, 1.0).chernoff_bound == math.inf
+        assert summarize_balance_experiment(reports, 1, math.inf, 1.0).chernoff_bound == 0.0
 
     def test_deterministic_reports(self):
         g = random_triangle_free_graph(8, 10, 5)

@@ -263,6 +263,17 @@ class TestForwardCutTable:
         # forward count of the complement mask
         assert np.array_equal(forward_cut_table(r.adj.T), forward_cut_table(r.adj)[::-1])
 
+    def test_budget_refused_before_allocating(self):
+        adj = np.ones((21, 21), dtype=bool)
+        tracemalloc.start()
+        try:
+            with pytest.raises(BudgetError, match="21 vertices exceeds the enumeration budget"):
+                forward_cut_table(adj)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 1 << 20
+
     def test_full_budget_table_peak_memory(self):
         adj = self.seeded_full_budget_matrix()
         tracemalloc.start()
@@ -429,6 +440,19 @@ class TestDicutAsTransitive:
         with pytest.raises(TriangleFoundError) as exc:
             dicut_as_transitive(CYCLE3, VertexPartition.from_u_set(3, {1}))
         assert exc.value.triangle == (1, 2, 3)
+
+    def test_arc_held_builds_no_matrix(self):
+        # a seeded orientation of a bipartite graph between {1..1000} and {1001..2000}
+        n = 2000
+        rng = np.random.default_rng(2000)
+        left = rng.integers(1, 1001, size=4 * n)
+        right = rng.integers(1001, n + 1, size=4 * n)
+        flip = rng.random(4 * n) < 0.5
+        r = rel(n, np.where(flip[:, None], np.c_[right, left], np.c_[left, right]).tolist())
+        p = VertexPartition.from_u_set(n, range(1, 1001))
+        out = dicut_as_transitive(r, p)
+        assert r._adj is None and out._adj is None
+        assert out == oracle_forward_arcs(r, p)
 
 
 class TestTriangleFreeEquivalence:

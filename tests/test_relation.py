@@ -10,6 +10,7 @@ from helpers import (
     oracle_closure_arcs,
     oracle_is_transitive,
     oracle_serialize_matrix,
+    oracle_underlying_graph,
     ordered_pairs,
     relations,
 )
@@ -547,6 +548,22 @@ class TestUnderlyingGraph:
     def test_cycle_becomes_triangle(self):
         g = underlying_graph(rel(3, [(1, 2), (2, 3), (3, 1)]))
         assert g.edges == frozenset({(1, 2), (2, 3), (1, 3)})
+
+    @staticmethod
+    def check(r):
+        arcs_only = rel(r.n, r.arcs())  # a shared fixture may have built its matrix
+        g = underlying_graph(arcs_only)
+        assert arcs_only._adj is None
+        assert g == underlying_graph(Relation(r.adj)) == oracle_underlying_graph(r)
+
+    def test_matches_matrix_exhaustive_n3(self, suite_n3_loops):
+        for r in suite_n3_loops:
+            self.check(r)
+
+    @settings(max_examples=100)
+    @given(relations(max_n=12))
+    def test_matches_matrix(self, r):
+        self.check(r)
 
 
 class TestTriangleFree:
