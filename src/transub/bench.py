@@ -9,7 +9,6 @@ monotonic clock, and summarized by the median over repetitions.
 from __future__ import annotations
 
 import random
-import statistics
 import time
 from dataclasses import dataclass
 
@@ -89,8 +88,8 @@ def run_scaling(config: BenchConfig) -> list[BenchRow]:
             BenchRow(
                 n=n,
                 m=m,
-                v1_median_ns=int(statistics.median(v1_samples)),
-                v2_median_ns=int(statistics.median(v2_samples)),
+                v1_median_ns=int(np.median(v1_samples)),
+                v2_median_ns=int(np.median(v2_samples)),
             )
         )
     return rows

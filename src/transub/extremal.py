@@ -153,9 +153,13 @@ def random_triangle_free_graph(n: int, m: int, seed: int) -> UndirectedGraph:
         raise ValueError(f"edge count must be non-negative, got {m}")
     if m > capacity:
         raise ValueError(f"{m} edges exceeds the bipartite capacity {capacity}")
-    pairs = [(u, v) for u in range(1, left + 1) for v in range(left + 1, n + 1)]
+    # Index j stands for the j-th cross pair in row-major order; sampling the
+    # range draws the same indices as sampling the list of pairs would.
+    right = n - left
     rng = random.Random(seed)
-    return UndirectedGraph.from_edges(n, rng.sample(pairs, m))
+    return UndirectedGraph.from_edges(
+        n, [(j // right + 1, left + 1 + j % right) for j in rng.sample(range(capacity), m)]
+    )
 
 
 def run_balance_experiment(

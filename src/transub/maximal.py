@@ -11,12 +11,12 @@ Two routes produce identical outputs and traces on every input:
   start of iteration ``i``).
 
 A visited arc is one examined while still present; visited arcs are never
-deleted afterwards, and the output is exactly the visited set.  Traced runs
-use explicit loops.  With ``collect_trace=False`` the same deletions are
-applied through in-place vectorized row/column masks with no per-event
-allocation, which is the path the benchmark harness times; v2 on a sparse
-relation applies them to successor and predecessor sets instead, in
-O(n + nm) time and O(n + m) memory.
+deleted afterwards, and the output is exactly the visited set.  Both routes
+apply the deletions of a visited arc as two in-place vectorized masks, one on
+a row and one on a column; a traced run also records the set bits of those
+masks, in sweep order, before applying them.  Untraced v2 on a sparse
+relation applies the same deletions to successor and predecessor sets
+instead, in O(n + nm) time and O(n + m) memory.
 
 Each invocation owns a private copy of the matrix or of the arc sets, so
 concurrent calls on distinct inputs are safe.
@@ -58,48 +58,23 @@ class MaximalTrace:
         return {arc for arc, _ in self.deleted}
 
 
-def _sweep(grid: list[list[bool]], i: int, j: int, n: int,
-           deleted: list[tuple[Arc, int]]) -> None:
-    # Inner sweep for the visited arc (i, j), 0-based: missing (i, k) kills
-    # (j, k); missing (k, j) kills (k, i).  Deletion events record 1->0 flips.
-    gi = grid[i]
-    gj = grid[j]
-    for k in range(n):
-        if k != j and not gi[k]:
-            if gj[k]:
-                gj[k] = False
-                deleted.append(((j + 1, k + 1), i + 1))
-        if k != i and not grid[k][j]:
-            if grid[k][i]:
-                grid[k][i] = False
-                deleted.append(((k + 1, i + 1), i + 1))
+def _record(adj: np.ndarray, i: int, j: int, visited: list[Arc],
+            deleted: list[tuple[Arc, int]]) -> None:
+    # Events of the visited arc (i, j), 0-based, read before its masks apply:
+    # missing (i, k) kills (j, k), missing (k, j) kills (k, i), merged by k
+    # with the row rule first.  Only (j, i) can fall to both rules; it is
+    # recorded once, at k = min(i, j).
+    visited.append((i + 1, j + 1))
+    if j == i:
+        return
+    rows = np.flatnonzero(adj[j] & ~adj[i]).tolist()
+    cols = np.flatnonzero(adj[:, i] & ~adj[:, j]).tolist()
+    events = sorted([(k, 0, (j + 1, k + 1)) for k in rows] + [(k, 1, (k + 1, i + 1)) for k in cols])
+    deleted.extend((arc, i + 1) for arc in dict.fromkeys(arc for _, _, arc in events))
 
 
-def _traced_run(r: Relation, row_extract: bool) -> tuple[Relation, MaximalTrace]:
-    n = r.n
-    grid: list[list[bool]] = r.adj.tolist()
-    visited: list[Arc] = []
-    deleted: list[tuple[Arc, int]] = []
-    for i in range(n):
-        gi = grid[i]
-        if row_extract:
-            # Present arcs of row i, extracted once at the start of iteration
-            # i; no arc with source i is deleted during iteration i, so no
-            # liveness re-check is needed inside the loop.
-            for j in [j for j in range(n) if gi[j]]:
-                visited.append((i + 1, j + 1))
-                if j != i:
-                    _sweep(grid, i, j, n, deleted)
-        else:
-            for j in range(n):
-                if gi[j]:
-                    visited.append((i + 1, j + 1))
-                    if j != i:
-                        _sweep(grid, i, j, n, deleted)
-    return Relation(grid), MaximalTrace(tuple(visited), tuple(deleted))
-
-
-def _fast_run(r: Relation, row_extract: bool) -> Relation:
+def _fast_run(r: Relation, row_extract: bool,
+              sink: tuple[list[Arc], list[tuple[Arc, int]]] | None = None) -> Relation:
     adj = r.adj.copy()
     n = adj.shape[0]
     for i in range(n):
@@ -109,12 +84,15 @@ def _fast_run(r: Relation, row_extract: bool) -> Relation:
         else:
             targets = range(n)
         for j in targets:
-            if not row[j] or j == i:
+            if not row[j]:
                 continue
-            # row i is invariant during iteration i and adj[i, j] is set, so
-            # these two in-place masks reproduce the k-sweep exactly.
-            adj[j] &= row
-            adj[:, i] &= adj[:, j]
+            if sink is not None:
+                _record(adj, i, j, *sink)
+            if j != i:
+                # row i is invariant during iteration i and adj[i, j] is set,
+                # so these two in-place masks reproduce the k-sweep exactly.
+                adj[j] &= row
+                adj[:, i] &= adj[:, j]
     return Relation._from_matrix(adj)
 
 
@@ -153,13 +131,21 @@ def _set_run(r: Relation) -> Relation:
     return Relation._from_arc_arrays(n, np.repeat(np.arange(n), counts), kept)
 
 
+def _matrix_run(r: Relation, row_extract: bool,
+                collect_trace: bool) -> tuple[Relation, MaximalTrace | None]:
+    if not collect_trace:
+        return _fast_run(r, row_extract), None
+    visited: list[Arc] = []
+    deleted: list[tuple[Arc, int]] = []
+    out = _fast_run(r, row_extract, (visited, deleted))
+    return out, MaximalTrace(tuple(visited), tuple(deleted))
+
+
 def maximal_transitive_v1(
     r: Relation, collect_trace: bool = True
 ) -> tuple[Relation, MaximalTrace | None]:
     """Cell-scan route: probe all n^2 cells, sweep on each present arc."""
-    if not collect_trace:
-        return _fast_run(r, row_extract=False), None
-    return _traced_run(r, row_extract=False)
+    return _matrix_run(r, row_extract=False, collect_trace=collect_trace)
 
 
 def maximal_transitive_v2(
@@ -170,11 +156,9 @@ def maximal_transitive_v2(
     Untraced runs on sparse relations (``relation._is_sparse``) sweep
     successor and predecessor sets instead of matrix rows and columns.
     """
-    if not collect_trace:
-        if _is_sparse(r):
-            return _set_run(r), None
-        return _fast_run(r, row_extract=True), None
-    return _traced_run(r, row_extract=True)
+    if not collect_trace and _is_sparse(r):
+        return _set_run(r), None
+    return _matrix_run(r, row_extract=True, collect_trace=collect_trace)
 
 
 def _require_transitive_sub(host: Relation, t: Relation) -> None:

@@ -178,7 +178,7 @@ def quarter_approx(r: Relation) -> Relation:
 # ---------------------------------------------------------------------------
 
 
-def brute_force_mts(r: Relation, arc_budget: int = DEFAULT_ARC_BUDGET) -> Relation:
+def brute_force_mts(r: Relation) -> Relation:
     """Exact maximum transitive sub-relation by branch-and-bound over arc
     subsets; among maximum-size answers, the lexicographically smallest arc
     set in row-major order is returned.
@@ -188,8 +188,8 @@ def brute_force_mts(r: Relation, arc_budget: int = DEFAULT_ARC_BUDGET) -> Relati
     its highest arc index has been decided, as premise and required bitmasks
     (a required mask of 0 forbids the premise pair).
     """
-    if r.m > arc_budget:
-        raise BudgetError(f"{r.m} arcs exceeds the enumeration budget of {arc_budget}")
+    if r.m > DEFAULT_ARC_BUDGET:
+        raise BudgetError(f"{r.m} arcs exceeds the enumeration budget of {DEFAULT_ARC_BUDGET}")
     arcs, walks = _composition_walks(r)
     m = len(arcs)
     by_last: list[list[tuple[int, int]]] = [[] for _ in range(m)]

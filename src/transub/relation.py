@@ -321,9 +321,12 @@ def parse_matrix(text: str) -> Relation:
     for i, line in enumerate(lines):
         if len(line) != n:
             raise ParseError(f"row has {len(line)} characters, expected {n}", i + 1)
-        if set(line) - {"0", "1"}:
+        # Any character outside {0, 1}, a non-ASCII one included (as "?"),
+        # survives the C-speed deletion of the 0s and 1s.
+        row = line.encode("ascii", "replace")
+        if row.translate(None, b"01"):
             raise ParseError(f"characters outside {{0, 1}}: {line!r}", i + 1)
-        adj[i] = np.frombuffer(line.encode("ascii"), dtype=np.uint8) == ord("1")
+        adj[i] = np.frombuffer(row, dtype=np.uint8) == ord("1")
     return Relation._from_matrix(adj)
 
 

@@ -2,13 +2,15 @@
 
 Oracles here deliberately avoid the library's code paths: transitivity by
 triple loop, closure by iterated squaring over bitmask rows, maximality by one
-closure per candidate arc, the maximal sweep by a cell scan over nested lists,
-cuts by direct enumeration, by masking the matrix or by float32 side-bit
-products, the balance scan by the direct formula per bipartition, the
-underlying graph by the upper triangle of the symmetrized matrix, the local
-search by a rescan of every vertex each round, the greedy cut by neighbor
-sets, CNF clauses by a scan over every cell triple, the matrix format by a
-per-cell join.  They are the second route of every dual-route check.
+closure per candidate arc, the maximal sweep and its trace by cell scans over
+nested lists, the matrix parser by a per-row character set, the triangle-free
+generator by sampling a list of every cross pair, cuts by direct enumeration,
+by masking the matrix or by float32 side-bit products, the balance scan by the
+direct formula per bipartition, the underlying graph by the upper triangle of
+the symmetrized matrix, the local search by a rescan of every vertex each
+round, the greedy cut by neighbor sets, CNF clauses by a scan over every cell
+triple, the matrix format by a per-cell join.  They are the second route of
+every dual-route check.
 """
 
 from __future__ import annotations
@@ -19,7 +21,17 @@ import random
 import numpy as np
 from hypothesis import strategies as st
 
-from transub import DicutResult, Relation, UndirectedGraph, VertexPartition
+from transub import (
+    DENSE_VERTEX_BUDGET,
+    BudgetError,
+    DicutResult,
+    MaximalTrace,
+    ParseError,
+    Relation,
+    UndirectedGraph,
+    VertexPartition,
+)
+from transub.relation import Arc
 
 
 # ---------------------------------------------------------------------------
@@ -148,10 +160,74 @@ def oracle_maximal_cell_scan(r: Relation) -> Relation:
     return Relation.from_arcs(n, [(i + 1, j + 1) for i in range(n) for j in range(n) if grid[i][j]])
 
 
+def _sweep(grid: list[list[bool]], i: int, j: int, n: int,
+           deleted: list[tuple[Arc, int]]) -> None:
+    # Inner sweep for the visited arc (i, j), 0-based: missing (i, k) kills
+    # (j, k); missing (k, j) kills (k, i).  Deletion events record 1->0 flips.
+    gi = grid[i]
+    gj = grid[j]
+    for k in range(n):
+        if k != j and not gi[k]:
+            if gj[k]:
+                gj[k] = False
+                deleted.append(((j + 1, k + 1), i + 1))
+        if k != i and not grid[k][j]:
+            if grid[k][i]:
+                grid[k][i] = False
+                deleted.append(((k + 1, i + 1), i + 1))
+
+
+def oracle_traced_run(r: Relation, row_extract: bool) -> tuple[Relation, MaximalTrace]:
+    """The traced maximal sweep by explicit loops over a nested-list copy of
+    the matrix: one event per 1->0 flip, in k order within each sweep."""
+    n = r.n
+    grid: list[list[bool]] = r.adj.tolist()
+    visited: list[Arc] = []
+    deleted: list[tuple[Arc, int]] = []
+    for i in range(n):
+        gi = grid[i]
+        if row_extract:
+            # Present arcs of row i, extracted once at the start of iteration
+            # i; no arc with source i is deleted during iteration i, so no
+            # liveness re-check is needed inside the loop.
+            for j in [j for j in range(n) if gi[j]]:
+                visited.append((i + 1, j + 1))
+                if j != i:
+                    _sweep(grid, i, j, n, deleted)
+        else:
+            for j in range(n):
+                if gi[j]:
+                    visited.append((i + 1, j + 1))
+                    if j != i:
+                        _sweep(grid, i, j, n, deleted)
+    return Relation(grid), MaximalTrace(tuple(visited), tuple(deleted))
+
+
 def oracle_serialize_matrix(r: Relation) -> str:
     rows = ["".join("1" if r.has_arc(i, j) else "0" for j in range(1, r.n + 1))
             for i in range(1, r.n + 1)]
     return "\n".join(rows) + "\n"
+
+
+def oracle_parse_matrix(text: str) -> Relation:
+    """The 0/1 matrix document row by row: the row limit first, then for each
+    row its length before its alphabet, checked with a set of characters."""
+    lines = text.splitlines()
+    while lines and not lines[-1].strip():
+        lines.pop()
+    if not lines:
+        raise ParseError("empty document")
+    n = len(lines)
+    if n > DENSE_VERTEX_BUDGET:
+        raise BudgetError(f"{n} vertices exceeds the dense limit of {DENSE_VERTEX_BUDGET}")
+    adj = np.zeros((n, n), dtype=bool)
+    for i, line in enumerate(lines):
+        if len(line) != n:
+            raise ParseError(f"row has {len(line)} characters, expected {n}", i + 1)
+        if set(line) - {"0", "1"}:
+            raise ParseError(f"characters outside {{0, 1}}: {line!r}", i + 1)
+        adj[i] = [c == "1" for c in line]
+    return Relation(adj)
 
 
 def oracle_forward_counts(r: Relation) -> list[int]:
@@ -212,6 +288,14 @@ def oracle_balanced_fraction(r: Relation, k: int, delta: float) -> float:
             large += 1
             balanced += imbalance == 0 or imbalance <= delta * total / 2
     return balanced / large if large else 1.0
+
+
+def oracle_random_triangle_free_graph(n: int, m: int, seed: int) -> UndirectedGraph:
+    """m cross pairs of the {1..ceil(n/2)} / rest split, sampled without
+    replacement from the list of every cross pair in row-major order."""
+    left = (n + 1) // 2
+    pairs = [(u, v) for u in range(1, left + 1) for v in range(left + 1, n + 1)]
+    return UndirectedGraph.from_edges(n, random.Random(seed).sample(pairs, m))
 
 
 def oracle_underlying_graph(r: Relation) -> UndirectedGraph:

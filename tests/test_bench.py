@@ -1,5 +1,9 @@
+import subprocess
+import sys
+
 import pytest
 
+from transub import bench
 from transub import (
     BenchConfig,
     doubling_ratios,
@@ -43,6 +47,18 @@ class TestHarness:
         assert rows[0].n == 100 and rows[0].m == 400
         assert rows[0].v1_median_ns > 0 and rows[0].v2_median_ns > 0
 
+    @pytest.mark.parametrize("samples, median", [
+        ([30, 10, 20], 20),
+        ([40, 10, 30, 20], 25),  # the mean of the middle two
+        ([4, 1, 3, 2], 2),  # 2.5, truncated
+        ([5], 5),
+    ])
+    def test_median_of_samples(self, monkeypatch, samples, median):
+        clock = iter(samples * 2)
+        monkeypatch.setattr(bench, "_timed", lambda fn, *args, **kwargs: (None, next(clock)))
+        rows = run_scaling(BenchConfig(sizes=(10,), repetitions=len(samples)))
+        assert (rows[0].v1_median_ns, rows[0].v2_median_ns) == (median, median)
+
     def test_doubling_ratios_only_for_doubles(self):
         rows = run_scaling(BenchConfig(sizes=(32, 64, 100), repetitions=1, seed=2))
         ratios = doubling_ratios(rows)
@@ -57,3 +73,11 @@ class TestHarness:
     def test_dense_mode_arc_count(self):
         rows = run_scaling(BenchConfig(sizes=(20,), density="dense", repetitions=1))
         assert rows[0].m == 100
+
+
+def test_cli_import_leaves_out_statistics():
+    # statistics imports fractions and decimal, a few ms of every process.
+    code = "import sys, transub.cli; print(sorted({'statistics', 'fractions'} & set(sys.modules)))"
+    proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout == "[]\n"

@@ -1,11 +1,17 @@
 import math
 import random
+import tracemalloc
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from helpers import oracle_balanced_fraction, random_digraph, relations
+from helpers import (
+    oracle_balanced_fraction,
+    oracle_random_triangle_free_graph,
+    random_digraph,
+    relations,
+)
 from transub import extremal
 from transub import (
     BudgetError,
@@ -204,6 +210,26 @@ class TestRandomTriangleFreeGraph:
     def test_capacity_error(self):
         with pytest.raises(ValueError, match="capacity"):
             random_triangle_free_graph(4, 5, 0)
+
+    def test_matches_pair_list_sampling(self):
+        for n in range(1, 25):
+            capacity = ((n + 1) // 2) * (n // 2)
+            for m in sorted({0, capacity // 3, capacity}):
+                for seed in range(5):
+                    assert random_triangle_free_graph(n, m, seed) == \
+                        oracle_random_triangle_free_graph(n, m, seed), (n, m, seed)
+
+    def test_few_edges_allocate_no_pair_list(self):
+        # 4 million cross pairs at n=4000; only the 10 sampled ones are built.
+        random_triangle_free_graph(4, 1, 0)
+        tracemalloc.start()
+        try:
+            g = random_triangle_free_graph(4000, 10, 7)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert g.m == 10
+        assert peak < 2**20, f"{peak / 2**20:.1f} MiB"
 
 
 class TestBalanceExperiment:

@@ -12,6 +12,7 @@ from helpers import (
     oracle_is_maximal_transitive,
     oracle_is_transitive,
     oracle_maximal_cell_scan,
+    oracle_traced_run,
     random_digraph,
     relations,
 )
@@ -98,6 +99,47 @@ class TestTraceInvariants:
             assert fast == traced
 
 
+def assert_traces_match_oracle(r):
+    """Output, visits and deletions of both routes equal the loop oracle's."""
+    for algorithm, row_extract in ((maximal_transitive_v1, False), (maximal_transitive_v2, True)):
+        out, trace = algorithm(r)
+        expected, oracle = oracle_traced_run(r, row_extract)
+        assert out == expected, r.arcs()
+        assert trace.visited == oracle.visited, r.arcs()
+        assert trace.deleted == oracle.deleted, r.arcs()
+
+
+class TestTraceOracle:
+    def test_exhaustive_and_random_suites(self, suite_n3_loops, suite_n4_loopfree,
+                                          random_digraphs_1000):
+        for r in (*suite_n3_loops, *suite_n4_loopfree, *random_digraphs_1000):
+            assert_traces_match_oracle(r)
+
+    @settings(max_examples=150)
+    @given(relations(max_n=12))
+    def test_random_relations(self, r):
+        assert_traces_match_oracle(r)
+
+    @pytest.mark.parametrize("a, b", [(1, 2), (1, 4), (2, 3), (3, 4)])
+    def test_two_cycles(self, a, b):
+        # Visiting (i, j) = (a, b) with (b, a) present and neither loop lets
+        # both rules delete (b, a); it is recorded once, at k = i.  With both
+        # loops the reverse arc survives and is visited too, with i > j.
+        for loops in ([], [(a, a)], [(b, b)], [(a, a), (b, b)]):
+            for arcs in ([(a, b), (b, a)], [(b, a), (a, b)]):
+                r = rel(4, arcs + loops)
+                assert_traces_match_oracle(r)
+                if not loops:
+                    assert maximal_transitive_v1(r)[1].deleted == (((b, a), a),)
+
+    def test_two_cycle_inside_a_longer_sweep(self):
+        # Visiting (1, 3) deletes (3, 1), hit by both rules, at k = 1; then at
+        # k = 2 the row rule's (3, 2) before the column rule's (2, 1).
+        r = rel(4, [(1, 3), (3, 1), (2, 1), (3, 4), (4, 3), (3, 2)])
+        assert_traces_match_oracle(r)
+        assert maximal_transitive_v1(r)[1].deleted[:3] == (((3, 1), 1), ((3, 2), 1), ((2, 1), 1))
+
+
 class TestOutputContract:
     @given(relations())
     def test_output_is_maximal_transitive_subrelation(self, r):
@@ -153,7 +195,7 @@ class TestSetRoute:
         r = Relation.from_arcs(100, [(i, i % 100 + 1) for i in range(1, 101)])
         out, _ = maximal_transitive_v2(r, collect_trace=False)
         assert r._adj is None and out._adj is None  # no matrix was built
-        assert out == maximal_transitive_v2(r)[0]
+        assert out == oracle_maximal_cell_scan(r)
 
     def test_dense_input_takes_the_matrix_route(self, monkeypatch):
         def no_sets(r):
@@ -162,7 +204,7 @@ class TestSetRoute:
         monkeypatch.setattr(maximal, "_set_run", no_sets)
         r = Relation(np.random.default_rng(8).random((40, 40)) < 0.25)
         out, _ = maximal_transitive_v2(r, collect_trace=False)
-        assert out == maximal_transitive_v2(r)[0]
+        assert out == oracle_maximal_cell_scan(r)
 
 
     def test_dense_sweep_allocates_one_matrix(self):

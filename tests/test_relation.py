@@ -9,6 +9,7 @@ from helpers import (
     all_relations,
     oracle_closure_arcs,
     oracle_is_transitive,
+    oracle_parse_matrix,
     oracle_serialize_matrix,
     oracle_underlying_graph,
     ordered_pairs,
@@ -267,7 +268,56 @@ class TestEdgeListFastPath:
         )
 
 
+# Rows of the right length and alphabet, with some rows cut, padded or
+# holding a character outside {0, 1}, ASCII or not.
+MATRIX_CHARS = st.sampled_from("0000111112 x\t\u00e9\u0661")
+
+
+@st.composite
+def matrix_texts(draw):
+    n = draw(st.integers(1, 6))
+    rows = [draw(st.text(alphabet="01", min_size=n, max_size=n)) for _ in range(n)]
+    for _ in range(draw(st.integers(0, 2))):
+        i = draw(st.integers(0, n - 1))
+        rows[i] = draw(st.text(alphabet=MATRIX_CHARS, min_size=n - 1, max_size=n + 1))
+    rows += draw(st.lists(st.sampled_from(["", "  "]), max_size=2))
+    breaks = draw(st.lists(LINE_BREAKS, min_size=len(rows), max_size=len(rows)))
+    text = "".join(row + brk for row, brk in zip(rows, breaks))
+    return text[:-1] if draw(st.booleans()) else text
+
+
 class TestMatrixParsing:
+    @settings(max_examples=400)
+    @given(matrix_texts())
+    @example("01\n0\n")
+    @example("02\n0\n")  # the alphabet of row 1 before the length of row 2
+    @example("0\n02\n")  # the length of row 1 before the alphabet of row 2
+    @example("0\u00e9\n00\n")
+    @example("")
+    @example("\n \n")
+    def test_matches_row_loop(self, text):
+        assert parse_outcome(parse_matrix, text) == parse_outcome(oracle_parse_matrix, text)
+
+    def test_row_limit_before_rows(self):
+        text = "0x\n" * (DENSE_VERTEX_BUDGET + 1)
+        assert parse_outcome(parse_matrix, text) == parse_outcome(oracle_parse_matrix, text)
+        assert parse_outcome(parse_matrix, text)[0] is BudgetError
+
+    def test_peak_within_one_extra_matrix(self):
+        # The rows plus the matrix come to 7.7 MiB here; at most one more n^2
+        # buffer is allowed on top.
+        n = 2000
+        text = serialize_matrix(Relation(np.random.default_rng(3).random((n, n)) < 0.25))
+        parse_matrix("01\n00\n")
+        tracemalloc.start()
+        try:
+            r = parse_matrix(text)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert r.n == n and not r.adj.flags.writeable
+        assert peak < 7.7 * 2**20 + n * n, f"{peak / 2**20:.1f} MiB"
+
     def test_basic(self):
         assert parse_matrix("010\n001\n000\n").arcs() == [(1, 2), (2, 3)]
 
