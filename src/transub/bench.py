@@ -15,7 +15,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .maximal import maximal_transitive_v1, maximal_transitive_v2
-from .relation import Relation
+from .relation import Relation, _require_dense_budget
 
 SPARSE_MODE = "sparse"
 DENSE_MODE = "dense"
@@ -33,6 +33,9 @@ class BenchConfig:
             raise ValueError("at least one size is required")
         if list(self.sizes) != sorted(set(self.sizes)):
             raise ValueError("sizes must be strictly ascending")
+        if self.sizes[0] < 1:
+            raise ValueError(f"sizes must be at least 1, got {self.sizes[0]}")
+        _require_dense_budget(self.sizes[-1])  # each run copies an n^2 matrix
         if self.density not in (SPARSE_MODE, DENSE_MODE):
             raise ValueError(f"density must be '{SPARSE_MODE}' or '{DENSE_MODE}'")
         if self.repetitions < 1:

@@ -110,16 +110,25 @@ def check_delta_balanced(r: Relation, p: VertexPartition, delta: float) -> Balan
     return balance_verdict(d.forward, d.backward, delta)
 
 
+# Masks scanned at once by ``_balanced_fraction``: 32 KiB per int32 temporary.
+_SCAN_BLOCK = 1 << 13
+
+
 def _balanced_fraction(adj: np.ndarray, k: int, delta: float) -> float:
     """Fraction of the cuts of total size >= k that are delta-balanced, 1.0
     when there is none; one representative per unordered bipartition (the
-    side masks with vertex 1 in U)."""
+    side masks with vertex 1 in U).  The two tables are scanned in blocks of
+    ``_SCAN_BLOCK`` masks, so no temporary spans a whole table."""
     forward = forward_cut_table(adj)[1::2]
     backward = forward_cut_table(adj.T)[1::2]
-    totals = forward + backward
-    large = totals >= k
-    count = np.count_nonzero(large)
-    balanced = np.count_nonzero(large & _balanced(np.abs(forward - backward), totals, delta))
+    count = balanced = 0
+    for start in range(0, len(forward), _SCAN_BLOCK):
+        block = slice(start, start + _SCAN_BLOCK)
+        f, b = forward[block], backward[block]
+        totals = f + b
+        large = totals >= k
+        count += np.count_nonzero(large)
+        balanced += np.count_nonzero(large & _balanced(np.abs(f - b), totals, delta))
     return balanced / count if count else 1.0
 
 

@@ -15,13 +15,16 @@ the arcs when ``_DENSE_RATIO * m < n^2``.  The exception is
 ``is_subrelation``, which builds no matrix for two relations that hold none.
 Transitivity is checked by the cheaper of two routes: walking all W two-arc
 walks ``a->b->c`` (W = sum over b of indeg * outdeg, at most nm) in
-O(n + m + W log m) time, or squaring the matrix as one float32 product in
-O(n^3); the walks are taken when ``_WALK_COST * W < n^3``.  The same walk enumeration, ``_two_arc_walks``,
-yields the CNF and branch-and-bound constraints of ``_composition_walks``.
+O(n + m + W log m) time, or testing that each matrix row, packed into 64-bit
+words, contains the rows of its successors, in O(n^2 + m * n / 64); the walks
+are taken when ``_WALK_COST * W < _ROW_COST * n + m * ceil(n / 64)``.  The
+same walk enumeration, ``_two_arc_walks``, yields the CNF and branch-and-bound
+constraints of ``_composition_walks``.
 """
 
 from __future__ import annotations
 
+import re
 from dataclasses import dataclass
 
 import numpy as np
@@ -344,24 +347,44 @@ def serialize_matrix(r: Relation) -> str:
 
 def detect_format(text: str) -> str:
     """Classify a document: a two-integer first content line means edge list, a
-    pure 0/1 line means matrix.  Comment lines only occur in edge lists."""
-    for lineno, raw in enumerate(text.splitlines(), start=1):
-        line = raw.strip()
-        if not line:
-            continue
-        if line.startswith("#"):
-            return EDGE_LIST_FORMAT
-        tokens = line.split()
-        if len(tokens) == 2:
-            try:
-                int(tokens[0]), int(tokens[1])
-            except ValueError:
-                raise ParseError(f"unrecognized input format: {line!r}", lineno) from None
-            return EDGE_LIST_FORMAT
-        if len(tokens) == 1 and not (set(line) - {"0", "1"}):
-            return MATRIX_FORMAT
-        raise ParseError(f"unrecognized input format: {line!r}", lineno)
-    raise ParseError("empty document")
+    pure 0/1 line means matrix.  Comment lines only occur in edge lists.
+
+    Only the first content line is split off: it holds the first character
+    that is not whitespace, and its number counts the ``str.splitlines``
+    breaks before that character."""
+    first = _NON_SPACE.search(text)
+    if first is None:
+        raise ParseError("empty document")
+    start = first.start()
+    lineno = len((text[:start] + "#").splitlines())
+    line = _line_at(text, start).rstrip()
+    if line.startswith("#"):
+        return EDGE_LIST_FORMAT
+    tokens = line.split()
+    if len(tokens) == 2:
+        try:
+            int(tokens[0]), int(tokens[1])
+        except ValueError:
+            raise ParseError(f"unrecognized input format: {line!r}", lineno) from None
+        return EDGE_LIST_FORMAT
+    if len(tokens) == 1 and not (set(line) - {"0", "1"}):
+        return MATRIX_FORMAT
+    raise ParseError(f"unrecognized input format: {line!r}", lineno)
+
+
+# The same whitespace as ``str.isspace``, every line break included.
+_NON_SPACE = re.compile(r"\S")
+
+
+def _line_at(text: str, start: int) -> str:
+    """The rest of the line that begins at ``start``, by ``str.splitlines``,
+    read through prefixes of doubling length rather than the whole text."""
+    size = 256
+    while True:
+        lines = text[start : start + size].splitlines()
+        if len(lines) > 1 or start + size >= len(text):
+            return lines[0]
+        size *= 2
 
 
 def parse_relation(text: str) -> tuple[Relation, str]:
@@ -387,24 +410,28 @@ def serialize_relation(r: Relation, fmt: str) -> str:
 
 def _bool_product(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     # Boolean matrix product via float32 BLAS; exact since every inner sum is
-    # at most n < 2**24.  A float32 operand is used as is, and a shared
-    # operand is converted once.
-    fa = a.astype(np.float32, copy=False)
-    fb = fa if b is a else b.astype(np.float32, copy=False)
-    return (fa @ fb) > 0.5
+    # at most n < 2**24.  A float32 operand is used as is.
+    return (a.astype(np.float32, copy=False) @ b.astype(np.float32, copy=False)) > 0.5
 
 
 # Walks per chunk of ``_two_arc_walks``: keeps each index array of a chunk at 8 MiB.
 _WALK_CHUNK = 1 << 20
 
-# The walk route of ``is_transitive`` runs when _WALK_COST * W < n**3, W the
-# number of two-arc walks.  On a 2-vCPU Xeon VM (2.1 GHz, numpy 2.4.6, 2
-# OpenBLAS threads) a walk, looked up by binary search among the arc codes,
-# cost 53 ns (full scan of the transitive total order at n=1000: 8.8 s for
-# 1.7e8 walks, against 30 ms for the product), and the float32 product
-# 3.0e-11 / 2.5e-11 / 1.4e-11 s per n^3 at n=1000 / 2000 / 4000: the routes
-# break even near 1800-3800.
-_WALK_COST = 2048
+# The walk route of ``is_transitive`` runs when
+# _WALK_COST * W < _ROW_COST * n + m * ceil(n / 64), W the number of two-arc
+# walks, and the packed-row route otherwise; both costs are in word ORs of the
+# row route.  On a 2-vCPU Xeon VM (2.1 GHz, numpy 2.4.6), on transitive
+# relations so that neither route stops early, a walk (a binary search among
+# the arc codes) cost 60-64 ns for W = 3e6-1.7e8 and up to 145 ns for W near m;
+# the row route cost 6-14 us per row with successors (n = 300-8000) plus
+# 1.5-3.9 ns per word.  For example, n=1000 with m=5.0e5 took 10.1 s by walks
+# and 0.035 s by rows, n=2000 with m=2.2e5 1.03 s and 0.037 s, and n=8000 with
+# m=1.0e4, W=7, 0.3 ms and 68 ms.
+_WALK_COST = 32
+_ROW_COST = 4096
+
+# Rows gathered at once by ``_transitive_by_rows``: at most 1 MiB per gather.
+_ROW_CHUNK_BYTES = 1 << 20
 
 
 def _two_arc_walks(src: np.ndarray, dst: np.ndarray, n: int):
@@ -446,20 +473,44 @@ def _transitive_by_walks(r: Relation) -> bool:
     return True
 
 
+def _packed_rows(adj: np.ndarray) -> np.ndarray:
+    """The rows of a boolean matrix as bit sets, ``ceil(n / 64)`` uint64 words each."""
+    n = adj.shape[0]
+    packed = np.zeros((n, -(-n // 64) * 8), dtype=np.uint8)
+    packed[:, : -(-n // 8)] = np.packbits(adj, axis=1)
+    return packed.view(np.uint64)
+
+
+def _transitive_by_rows(adj: np.ndarray) -> bool:
+    # Row a must contain the row of every successor of a; stop at the first
+    # row that does not.
+    rows = _packed_rows(adj)
+    chunk = max(1, _ROW_CHUNK_BYTES // rows.strides[0])
+    for a in range(adj.shape[0]):
+        succ = adj[a].nonzero()[0]
+        for start in range(0, len(succ), chunk):
+            reach = np.bitwise_or.reduce(rows[succ[start : start + chunk]], axis=0)
+            if np.count_nonzero(reach & ~rows[a]):
+                return False
+    return True
+
+
 def is_transitive(r: Relation) -> bool:
     """True iff for all a, b, c (repeats allowed): a->b and b->c imply a->c.
 
     With W = sum over b of indeg(b) * outdeg(b) two-arc walks, a sparse
     relation looks up the arc ``(a, c)`` of every walk among its arcs, in
-    O(n + m + W log m) time and O(n + m) extra memory, stopping at
-    the first missing arc; when ``_WALK_COST * W`` reaches n^3 the matrix is
-    squared as one float32 product instead.
+    O(n + m + W log m) time and O(n + m) extra memory.  A dense one packs its
+    matrix rows into 64-bit words and checks that each row contains the union
+    of the rows of its successors, in O(n^2 + m * n / 64) time and n^2 / 8
+    bytes.  The walks run when
+    ``_WALK_COST * W < _ROW_COST * n + m * ceil(n / 64)``, and either route
+    stops at the first violation.
     """
     out_deg, in_deg = r._degrees()
-    if _WALK_COST * int(in_deg @ out_deg) < r.n ** 3:
+    if _WALK_COST * int(in_deg @ out_deg) < _ROW_COST * r.n + r.m * -(-r.n // 64):
         return _transitive_by_walks(r)
-    adj = r.adj
-    return not bool(np.any(_bool_product(adj, adj) & ~adj))
+    return _transitive_by_rows(r.adj)
 
 
 def transitive_closure(r: Relation) -> Relation:

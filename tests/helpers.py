@@ -3,14 +3,15 @@
 Oracles here deliberately avoid the library's code paths: transitivity by
 triple loop, closure by iterated squaring over bitmask rows, maximality by one
 closure per candidate arc, the maximal sweep and its trace by cell scans over
-nested lists, the matrix parser by a per-row character set, the triangle-free
-generator by sampling a list of every cross pair, cuts by direct enumeration,
-by masking the matrix or by float32 side-bit products, the balance scan by the
-direct formula per bipartition, the underlying graph by the upper triangle of
-the symmetrized matrix, the local search by a rescan of every vertex each
-round, the greedy cut by neighbor sets, CNF clauses by a scan over every cell
-triple, the matrix format by a per-cell join.  They are the second route of
-every dual-route check.
+nested lists, the matrix parser by a per-row character set, format detection
+by splitting every line of the document, the triangle-free generator by
+sampling a list of every cross pair, cuts by direct enumeration, by masking
+the matrix or by float32 side-bit products, the balance scan by the direct
+formula per bipartition, the underlying graph by the upper triangle of the
+symmetrized matrix, the local search by a rescan of every vertex each round,
+the greedy cut by neighbor sets, CNF clauses by a scan over every cell triple,
+the matrix format by a per-cell join.  They are the second route of every
+dual-route check.
 """
 
 from __future__ import annotations
@@ -228,6 +229,28 @@ def oracle_parse_matrix(text: str) -> Relation:
             raise ParseError(f"characters outside {{0, 1}}: {line!r}", i + 1)
         adj[i] = [c == "1" for c in line]
     return Relation(adj)
+
+
+def oracle_detect_format(text: str) -> str:
+    """The format of the first non-blank line, found by splitting the whole
+    document into lines."""
+    for lineno, raw in enumerate(text.splitlines(), start=1):
+        line = raw.strip()
+        if not line:
+            continue
+        if line.startswith("#"):
+            return "edge-list"
+        tokens = line.split()
+        if len(tokens) == 2:
+            try:
+                int(tokens[0]), int(tokens[1])
+            except ValueError:
+                raise ParseError(f"unrecognized input format: {line!r}", lineno) from None
+            return "edge-list"
+        if len(tokens) == 1 and not (set(line) - {"0", "1"}):
+            return "matrix"
+        raise ParseError(f"unrecognized input format: {line!r}", lineno)
+    raise ParseError("empty document")
 
 
 def oracle_forward_counts(r: Relation) -> list[int]:

@@ -5,7 +5,9 @@ import pytest
 
 from transub import bench
 from transub import (
+    DENSE_VERTEX_BUDGET,
     BenchConfig,
+    BudgetError,
     doubling_ratios,
     maximal_transitive_v1,
     random_relation,
@@ -30,6 +32,17 @@ class TestConfig:
     def test_sizes_must_ascend(self):
         with pytest.raises(ValueError, match="ascending"):
             BenchConfig(sizes=(100, 50))
+
+    @pytest.mark.parametrize("sizes", [(0,), (-3,), (0, 10)])
+    def test_sizes_at_least_one(self, sizes):
+        with pytest.raises(ValueError, match="at least 1") as err:
+            BenchConfig(sizes=sizes)
+        assert not isinstance(err.value, BudgetError)
+
+    def test_sizes_within_dense_budget(self):
+        BenchConfig(sizes=(DENSE_VERTEX_BUDGET,))
+        with pytest.raises(BudgetError, match=f"dense limit of {DENSE_VERTEX_BUDGET}"):
+            BenchConfig(sizes=(10, DENSE_VERTEX_BUDGET + 1))
 
     def test_repetitions_positive(self):
         with pytest.raises(ValueError, match="repetitions"):

@@ -2,6 +2,7 @@ import io
 import json
 import subprocess
 import sys
+import tracemalloc
 from pathlib import Path
 
 import pytest
@@ -329,6 +330,26 @@ class TestBench:
 
     def test_unsorted_sizes_rejected(self, capsys):
         assert main(["bench", "--sizes", "64,32", "--repetitions", "1"]) == 2
+
+    @pytest.mark.parametrize("sizes", ["0", "-3", "0,16"])
+    def test_sizes_below_one_are_usage_errors(self, capsys, sizes):
+        assert main(["bench", "--sizes", sizes, "--repetitions", "1"]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.startswith("error: sizes must be at least 1")
+
+    def test_size_over_the_dense_limit_allocates_nothing(self, capsys):
+        tracemalloc.start()
+        try:
+            status = main(["bench", "--sizes", "16,20000", "--repetitions", "1"])
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert status == 4
+        assert capsys.readouterr().err == (
+            "budget error: 20000 vertices exceeds the dense limit of 10000\n"
+        )
+        assert peak < 1 << 20, f"{peak / 2**20:.1f} MiB"
 
     def test_json(self, capsys):
         argv = ["bench", "--sizes", "16", "--repetitions", "1", "--json"]

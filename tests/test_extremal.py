@@ -7,6 +7,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from helpers import (
+    ordered_pairs,
     oracle_balanced_fraction,
     oracle_random_triangle_free_graph,
     random_digraph,
@@ -176,6 +177,31 @@ class TestKDeltaBalanced:
         expected = oracle_balanced_fraction(r, k, delta)
         assert extremal._balanced_fraction(r.adj, k, delta) == expected
         assert check_k_delta_balanced(r, k, delta) == (expected == 1.0)
+
+    @pytest.mark.parametrize("block", [1, 3, extremal._SCAN_BLOCK])
+    @settings(max_examples=40, deadline=None)
+    @given(data=st.data())
+    def test_blocked_scan_matches_oracle(self, block, data):
+        # Blocks of 1 and 3 masks put block boundaries inside small tables.
+        self._check_blocked_scan(data, block, st.integers(2, 12), max_arcs=30)
+
+    @settings(max_examples=5, deadline=None)
+    @given(data=st.data())
+    def test_blocked_scan_over_many_default_blocks(self, data):
+        # n = 15 to 20: 2 to 64 blocks of the default size; few arcs keep the
+        # oracle's Python loop over 2^n masks short.
+        self._check_blocked_scan(data, extremal._SCAN_BLOCK, st.integers(15, 20), max_arcs=4)
+
+    @staticmethod
+    def _check_blocked_scan(data, block, sizes, max_arcs):
+        n = data.draw(sizes)
+        r = rel(n, data.draw(st.lists(st.sampled_from(ordered_pairs(n, True)), max_size=max_arcs)))
+        delta = data.draw(st.sampled_from([0.0, 0.5, 2.0, math.inf]))
+        k = data.draw(st.sampled_from([0, -(-r.m // 4), r.m + 1]))
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(extremal, "_SCAN_BLOCK", block)
+            got = extremal._balanced_fraction(r.adj, k, delta)
+        assert got == oracle_balanced_fraction(r, k, delta)
 
     def test_matches_explicit_enumeration(self):
         rng = random.Random(23)

@@ -5,6 +5,7 @@ import tracemalloc
 import numpy as np
 import pytest
 from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from helpers import (
     all_relations,
@@ -222,6 +223,34 @@ class TestSetRoute:
             tracemalloc.stop()
         assert out._src is None and not out.adj.flags.writeable
         assert peak < 1.25 * n * n, f"{peak / 2**20:.1f} MiB"
+
+# Rows per block of the batched dense sweep: single rows, boundaries inside
+# small rows, and the default.
+ROW_BLOCKS = [1, 3, maximal._ROW_BLOCK]
+
+
+class TestRowRoute:
+    @pytest.mark.parametrize("block", ROW_BLOCKS)
+    @settings(max_examples=60, deadline=None)
+    @given(data=st.data())
+    def test_matches_cell_scan_and_traced_v2(self, block, data):
+        n = data.draw(st.integers(1, 24))
+        rng = np.random.default_rng(data.draw(st.integers(0, 2**32 - 1)))
+        r = Relation(rng.random((n, n)) < data.draw(st.sampled_from([0.25, 0.5, 0.9])))
+        traced, _ = maximal_transitive_v2(r)
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(maximal, "_ROW_BLOCK", block)
+            out, _ = maximal_transitive_v2(r, collect_trace=False)
+        assert out == oracle_maximal_cell_scan(r) == traced
+
+    def test_rows_longer_than_a_block(self):
+        n = 150
+        r = Relation(np.random.default_rng(150).random((n, n)) < 0.9)
+        assert np.count_nonzero(r.adj, axis=1).max() > 2 * maximal._ROW_BLOCK
+        out, _ = maximal_transitive_v2(r, collect_trace=False)
+        assert out == maximal_transitive_v2(r)[0] == oracle_maximal_cell_scan(r)
+        assert is_transitive(out)
+
 
 class TestMaximalityOracle:
     def test_path_examples(self):

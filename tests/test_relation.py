@@ -8,6 +8,7 @@ from hypothesis import strategies as st
 from helpers import (
     all_relations,
     oracle_closure_arcs,
+    oracle_detect_format,
     oracle_is_transitive,
     oracle_parse_matrix,
     oracle_serialize_matrix,
@@ -369,6 +370,28 @@ class TestSerialization:
         with pytest.raises(ParseError):
             detect_format("hello world extra\n")
 
+    # Line breaks of every kind str.splitlines knows, and other whitespace,
+    # around and between the first content line and the rest.
+    @settings(max_examples=300)
+    @given(st.one_of(
+        st.text(max_size=40),
+        st.text(alphabet="01 2#x\t\n\r\v\f\x1c\x1f\x85\u2028\xa0", max_size=40),
+    ))
+    @example("\r\n \n  01\r\n10\n")
+    @example("\n\x1c\n  1 x\n")
+    @example("\x85\u2028 # c\n")
+    @example(" \x1f\n")
+    @example("\n" * 5 + "0" * 300 + "2\n")
+    def test_detection_matches_whole_document_split(self, text):
+        try:
+            expected = oracle_detect_format(text)
+        except ParseError as exc:
+            with pytest.raises(ParseError) as got:
+                detect_format(text)
+            assert (str(got.value), got.value.line) == (str(exc), exc.line)
+            return
+        assert detect_format(text) == expected
+
     def test_parse_relation_reports_format(self):
         r, fmt = parse_relation("10\n01\n")
         assert fmt == "matrix" and r.m == 2
@@ -469,10 +492,10 @@ class TestTransitivityByWalks:
         assert walk_routes(Relation(adj)) == [False] * len(WALK_CHUNKS)
 
     def test_sparse_input_takes_the_walk_route(self, monkeypatch):
-        def no_product(a, b):
-            raise AssertionError("float32 product on a sparse input")
+        def no_rows(adj):
+            raise AssertionError("packed-row route on a sparse input")
 
-        monkeypatch.setattr(relation, "_bool_product", no_product)
+        monkeypatch.setattr(relation, "_transitive_by_rows", no_rows)
         n = 2000
         rng = np.random.default_rng(2000)
         adj = np.zeros((n, n), dtype=bool)
@@ -491,21 +514,80 @@ class TestTransitivityByWalks:
             assert verdict == oracle_is_transitive(s)
         assert not is_transitive(r) and is_transitive(kept)
 
-    def test_dense_input_takes_the_product_route(self, monkeypatch):
+    def test_dense_input_takes_the_row_route(self, monkeypatch):
         calls = []
-        product = relation._bool_product
+        by_rows = relation._transitive_by_rows
 
-        def counted(a, b):
-            calls.append(a.shape)
-            return product(a, b)
+        def counted(adj):
+            calls.append(adj.shape)
+            return by_rows(adj)
 
-        monkeypatch.setattr(relation, "_bool_product", counted)
+        monkeypatch.setattr(relation, "_transitive_by_rows", counted)
         rng = np.random.default_rng(200)
         r = Relation(rng.random((200, 200)) < 0.5)
         assert not is_transitive(r)
         closed = transitive_closure(r)
         assert is_transitive(closed)
         assert calls == [(200, 200)] * 2
+
+
+@st.composite
+def near_transitive(draw, n):
+    """A closure of a seeded random relation with loops, as drawn or with one
+    cell flipped, so that about half are not transitive."""
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    adj = rng.random((n, n)) < draw(st.sampled_from([0.5, 1.0, 1.5])) / n
+    adj = transitive_closure(Relation(adj)).adj.copy()
+    if draw(st.booleans()):
+        cell = draw(st.integers(0, n * n - 1))
+        adj.flat[cell] = not adj.flat[cell]
+    return Relation(adj)
+
+
+class TestTransitivityByRows:
+    # Row widths around one and two 64-bit words.
+    @pytest.mark.parametrize("n", [63, 64, 65, 127, 129])
+    @settings(max_examples=10, deadline=None)
+    @given(data=st.data())
+    def test_matches_triple_loop_oracle(self, n, data):
+        r = data.draw(near_transitive(n))
+        expected = oracle_is_transitive(r)
+        assert relation._transitive_by_rows(r.adj) == expected
+        assert is_transitive(r) == expected
+
+    @pytest.mark.parametrize("n", [63, 64, 65, 127, 129])
+    @pytest.mark.parametrize("last", ["row", "column"])
+    def test_only_a_last_cell_fails(self, n, last):
+        # In a closure holding (u, w) and (w, v), dropping (u, v) leaves the
+        # walks u -> b -> v as the only violations, in the last row or the
+        # last column (the last bits of each packed row).
+        u, w, v = (n - 1, 0, 1) if last == "row" else (0, 1, n - 1)
+        rng = np.random.default_rng(n)
+        adj = rng.random((n, n)) < 1 / n
+        adj[u, w] = adj[w, v] = True
+        adj = transitive_closure(Relation(adj)).adj.copy()
+        adj[u, v] = False
+        r = Relation(adj)
+        square = adj.astype(np.int64) @ adj.astype(np.int64)
+        assert np.argwhere((square > 0) & ~adj).tolist() == [[u, v]]
+        assert not relation._transitive_by_rows(r.adj)
+        assert not oracle_is_transitive(r)
+        full = transitive_closure(r)
+        assert relation._transitive_by_rows(full.adj) and oracle_is_transitive(full)
+
+    def test_chunks_of_successor_rows(self, monkeypatch):
+        # One gathered row per chunk: each chunk of successors is tested alone.
+        rng = np.random.default_rng(65)
+        closed = transitive_closure(Relation(rng.random((65, 65)) < 0.03)).adj
+        broken = closed.copy()
+        broken[np.argmax(closed.sum(axis=1)), np.argmax(closed.sum(axis=0))] ^= True
+        # Only the second successor of vertex 1 leaves its row.
+        late = rel(65, [(1, 2), (1, 3), (3, 4)]).adj
+        cases = (closed, broken, late)
+        expected = [oracle_is_transitive(Relation(a)) for a in cases]
+        assert expected == [True, False, False]
+        monkeypatch.setattr(relation, "_ROW_CHUNK_BYTES", 1)
+        assert [relation._transitive_by_rows(a) for a in cases] == expected
 
 
 class TestTransitiveClosure:
