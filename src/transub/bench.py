@@ -58,6 +58,8 @@ def arc_count_for(n: int, density: str) -> int:
 
 def random_relation(n: int, m: int, seed: int) -> Relation:
     """Loop-free digraph with m distinct arcs sampled without replacement."""
+    if n < 1:
+        raise ValueError(f"vertex count must be at least 1, got {n}")
     if m > n * (n - 1):
         raise ValueError(f"{m} arcs exceeds the {n * (n - 1)} loop-free pairs")
     rng = random.Random(seed)

@@ -22,8 +22,12 @@ works through blocks of ``_ROW_BLOCK`` rows, so it allocates little beyond its
 copy of the matrix.  On a sparse relation it applies the same deletions to
 successor and predecessor sets instead, in O(n + nm) time and O(n + m) memory.
 
-Each invocation owns a private copy of the matrix or of the arc sets, so
-concurrent calls on distinct inputs are safe.
+``is_maximal_transitive`` and ``extend_to_maximal`` share one join rule,
+``_grow``, which tries the host arcs outside a transitive set on the packed
+rows of ``relation._packed_rows``.
+
+Each invocation owns a private copy of the matrix, of the arc sets or of the
+packed rows, so concurrent calls on distinct inputs are safe.
 """
 
 from __future__ import annotations
@@ -37,8 +41,10 @@ from .errors import PreconditionError
 from .relation import (
     Arc,
     Relation,
-    _bool_product,
+    _column,
     _is_sparse,
+    _packed_rows,
+    _unpacked,
     is_subrelation,
     is_transitive,
 )
@@ -120,7 +126,7 @@ def _row_run(r: Relation) -> Relation:
         pred = adj[:, i].nonzero()[0]
         for start in range(0, len(pred), _ROW_BLOCK):
             block = pred[start : start + _ROW_BLOCK]
-            adj[block[~adj[np.ix_(block, succ)].all(axis=1)], i] = False
+            adj[block[~adj[block[:, None], succ].all(axis=1)], i] = False
     return Relation._from_matrix(adj)
 
 
@@ -199,38 +205,56 @@ def _require_transitive_sub(host: Relation, t: Relation) -> None:
         raise PreconditionError("sub-relation is not transitive")
 
 
-def is_maximal_transitive(host: Relation, t: Relation) -> bool:
-    """True iff no arc of ``host`` outside ``t`` can join ``t`` transitively.
+def _grow(host: Relation, t: Relation) -> np.ndarray:
+    """Packed rows (``relation._packed_rows``) of ``t`` grown by the host arcs
+    outside it, tried in row-major order.
 
-    Closing transitive ``t`` plus ``(u, v)`` adds the block ``A(u) x B(v)``,
-    ``A(u) = {u} | pred(u)``, ``B(v) = {v} | succ(v)``; with ``P = t | I`` it
-    leaves ``host`` iff ``(P^T . ~host . P^T)[u, v]`` is nonzero.
+    Closing a transitive set plus ``(u, v)`` adds the block ``A(u) x B(v)``,
+    ``A(u) = {u} | pred(u)``, ``B(v) = {v} | succ(v)``, so the arc joins iff
+    ``B(v)`` misses ``escape``, the union of the rows of ``~host`` over
+    ``A(u)``; it is committed by setting that block, which keeps the set
+    transitive.
+    """
+    n = host.n
+    miss = ~_packed_rows(host.adj)
+    rows = _packed_rows(t.adj)
+    for u in range(n):
+        # All fitting arcs of row u are committed at once.  During row u,
+        # A(u) does not change, and neither does ``escape``; every committed
+        # B(v) misses ``escape``, so no fit test of the row depends on an
+        # earlier commit in it.
+        a = np.flatnonzero(_column(rows, u) | (np.arange(n) == u))
+        escape = np.bitwise_or.reduce(miss[a], axis=0)
+        # ``escape`` holds ``miss[u]``, so its clear bits are host arcs; v lies
+        # in B(v), and an arc already in the set would add nothing.
+        cand = np.flatnonzero(~_unpacked((escape | rows[u])[None], n)[0])
+        fit = cand[~(rows[cand] & escape).any(axis=1)]
+        if len(fit):
+            block = np.bitwise_or.reduce(rows[fit], axis=0)
+            np.bitwise_or.at(block, fit >> 6, np.uint64(1) << (fit & 63).astype(np.uint64))
+            rows[a] |= block
+    return rows
+
+
+def is_maximal_transitive(host: Relation, t: Relation) -> bool:
+    """True iff no arc of ``host`` outside ``t`` can join ``t`` transitively,
+    that is, iff ``_grow`` adds nothing to ``t``.
+
+    This takes O(n^2 + sum over u of (|A(u)| + c(u)) * n / 64) time, ``c(u)``
+    the host arcs ``(u, v)`` outside the set whose ``v`` is not in
+    ``escape``, and about 3 n^2 / 8 bytes of packed rows beyond the matrices
+    of ``host`` and ``t``.
     """
     _require_transitive_sub(host, t)
-    pt = (t.adj | np.eye(t.n, dtype=bool)).astype(np.float32).T
-    inner = np.subtract(1, host.adj, dtype=np.float32) @ pt
-    # Thresholded in place, so the second product takes it with no copy.
-    np.greater(inner, 0.5, out=inner)
-    escapes = _bool_product(pt, inner)
-    return not bool(np.any(host.adj & ~t.adj & ~escapes))
+    return bool(np.array_equal(_grow(host, t), _packed_rows(t.adj)))
 
 
 def extend_to_maximal(host: Relation, t: Relation) -> Relation:
     """Grow ``t`` to a maximal transitive sub-relation of ``host``.
 
-    Host arcs outside the current set are tried in row-major order.  Closing
-    the current set plus ``(u, v)`` adds the block ``A(u) x B(v)``, as in
-    ``is_maximal_transitive``; the arc is committed by setting that block
-    whenever it lies inside ``host``, which keeps the running set transitive.
+    Host arcs outside the current set are tried in row-major order, and each
+    arc whose closure with the current set stays inside ``host`` is committed,
+    which keeps the running set transitive (``_grow``).
     """
     _require_transitive_sub(host, t)
-    current = t.adj.copy()
-    for u, v in np.argwhere(host.adj):
-        if current[u, v]:
-            continue
-        a, b = current[:, u].copy(), current[v].copy()
-        a[u] = b[v] = True
-        block = np.ix_(a, b)
-        if host.adj[block].all():
-            current[block] = True
-    return Relation._from_matrix(current)
+    return Relation._from_matrix(_unpacked(_grow(host, t), host.n))

@@ -19,7 +19,8 @@ O(n + m + W log m) time, or testing that each matrix row, packed into 64-bit
 words, contains the rows of its successors, in O(n^2 + m * n / 64); the walks
 are taken when ``_WALK_COST * W < _ROW_COST * n + m * ceil(n / 64)``.  The
 same walk enumeration, ``_two_arc_walks``, yields the CNF and branch-and-bound
-constraints of ``_composition_walks``.
+constraints of ``_composition_walks``.  The closure, and the maximality check
+and extension of ``maximal``, run on the same packed rows (``_packed_rows``).
 """
 
 from __future__ import annotations
@@ -38,10 +39,10 @@ EDGE_LIST_FORMAT = "edge-list"
 MATRIX_FORMAT = "matrix"
 
 # Largest vertex count of an edge-list header or a matrix input.  Routes that
-# need the matrix build it from the arcs, and the float32 products of
-# ``is_maximal_transitive`` peak near 16 bytes per cell (``transub check --sub``
-# at n=4000, m=4n: 270 MiB, 31 MiB of it interpreter), which this limit keeps
-# under 2 GiB.
+# need the matrix build it from the arcs at one byte per cell, 95 MiB at this
+# limit.  The maximality check holds two matrices and their packed rows:
+# ``transub check --sub`` on an edge list with m=4n peaked at 66 MiB RSS at
+# n=4000 and 176 MiB at n=8000, about 31 MiB of it interpreter.
 DENSE_VERTEX_BUDGET = 10000
 
 # Maximal v2 and ``quarter_approx`` run on the arcs when _DENSE_RATIO * m < n^2.
@@ -408,12 +409,6 @@ def serialize_relation(r: Relation, fmt: str) -> str:
 # ---------------------------------------------------------------------------
 
 
-def _bool_product(a: np.ndarray, b: np.ndarray) -> np.ndarray:
-    # Boolean matrix product via float32 BLAS; exact since every inner sum is
-    # at most n < 2**24.  A float32 operand is used as is.
-    return (a.astype(np.float32, copy=False) @ b.astype(np.float32, copy=False)) > 0.5
-
-
 # Walks per chunk of ``_two_arc_walks``: keeps each index array of a chunk at 8 MiB.
 _WALK_CHUNK = 1 << 20
 
@@ -474,11 +469,23 @@ def _transitive_by_walks(r: Relation) -> bool:
 
 
 def _packed_rows(adj: np.ndarray) -> np.ndarray:
-    """The rows of a boolean matrix as bit sets, ``ceil(n / 64)`` uint64 words each."""
+    """The rows of a boolean matrix as bit sets, ``ceil(n / 64)`` uint64 words
+    each: column ``j`` is bit ``j % 64`` of word ``j // 64``, and the bits past
+    column ``n - 1`` are clear.  The result is a fresh, writable array."""
     n = adj.shape[0]
     packed = np.zeros((n, -(-n // 64) * 8), dtype=np.uint8)
-    packed[:, : -(-n // 8)] = np.packbits(adj, axis=1)
-    return packed.view(np.uint64)
+    packed[:, : -(-n // 8)] = np.packbits(adj, axis=1, bitorder="little")
+    return packed.view("<u8")
+
+
+def _unpacked(rows: np.ndarray, n: int) -> np.ndarray:
+    """The n-by-n boolean matrix of the packed rows of ``_packed_rows``."""
+    return np.unpackbits(rows.view(np.uint8), axis=1, count=n, bitorder="little").view(bool)
+
+
+def _column(rows: np.ndarray, j: int) -> np.ndarray:
+    """Column ``j`` of the packed rows of ``_packed_rows``, as bool."""
+    return rows[:, j >> 6] & np.uint64(1 << (j & 63)) != 0
 
 
 def _transitive_by_rows(adj: np.ndarray) -> bool:
@@ -514,15 +521,18 @@ def is_transitive(r: Relation) -> bool:
 
 
 def transitive_closure(r: Relation) -> Relation:
-    """Smallest transitive relation containing ``r``, by Warshall's algorithm.
+    """Smallest transitive relation containing ``r``, by Warshall's algorithm
+    on the packed rows of ``_packed_rows``: for each pivot ``k``, every row
+    that reaches ``k`` takes row ``k``, in O(n^2 + n^3 / 64) time and
+    n^2 / 8 bytes beyond the input and output matrices.
 
     Reachability by nonempty paths: ``(i, i)`` appears only when ``i`` lies on
     a directed cycle; no reflexive padding is added.
     """
-    adj = r.adj.copy()
-    for k in range(r.n):  # pivot outermost; the inner loops are one outer product
-        adj |= adj[:, k : k + 1] & adj[k : k + 1, :]
-    return Relation._from_matrix(adj)
+    rows = _packed_rows(r.adj)
+    for k in range(r.n):
+        rows[_column(rows, k)] |= rows[k]
+    return Relation._from_matrix(_unpacked(rows, r.n))
 
 
 def is_subrelation(a: Relation, b: Relation) -> bool:

@@ -1,8 +1,10 @@
 """Independent oracles and generators shared across the test suite.
 
 Oracles here deliberately avoid the library's code paths: transitivity by
-triple loop, closure by iterated squaring over bitmask rows, maximality by one
-closure per candidate arc, the maximal sweep and its trace by cell scans over
+triple loop, closure by iterated squaring over bitmask rows or by Warshall's loop on the
+boolean matrix, maximality by one closure per candidate arc or by two float32
+products, maximal extension by one closure or one matrix block per candidate
+arc, the maximal sweep and its trace by cell scans over
 nested lists, the matrix parser by a per-row character set, format detection
 by splitting every line of the document, the triangle-free generator by
 sampling a list of every cross pair, cuts by direct enumeration, by masking
@@ -63,6 +65,15 @@ def all_relations(n: int, loops: bool) -> list[Relation]:
 def random_digraph(rng: random.Random, n: int, p: float, loops: bool = False) -> Relation:
     arcs = [pair for pair in ordered_pairs(n, loops) if rng.random() < p]
     return Relation.from_arcs(n, arcs)
+
+
+def wide_matrix(n: int, p: float, seed: int) -> np.ndarray:
+    """A seeded random n-by-n boolean matrix of density p with loops and
+    2-cycles, some of them in the last column, the end of the packed rows."""
+    adj = np.random.default_rng(seed).random((n, n)) < p
+    adj[[0, n - 1], [0, n - 1]] = True
+    adj[1, n - 1] = adj[n - 1, 1] = True
+    return adj
 
 
 # ---------------------------------------------------------------------------
@@ -139,6 +150,43 @@ def oracle_extend_to_maximal(host: Relation, t: Relation) -> Relation:
             if closure <= inside:
                 current = closure
     return Relation.from_arcs(host.n, current)
+
+
+def oracle_warshall_closure(r: Relation) -> Relation:
+    """Transitive closure by Warshall's loop on the boolean matrix: for each
+    pivot k, OR in the outer product of column k and row k."""
+    adj = r.adj.copy()
+    for k in range(r.n):
+        adj |= adj[:, k : k + 1] & adj[k : k + 1, :]
+    return Relation(adj)
+
+
+def oracle_is_maximal_by_products(host: Relation, t: Relation) -> bool:
+    """Maximality of transitive ``t`` by two float32 matrix products.  Closing
+    ``t`` plus ``(u, v)`` adds ``A(u) x B(v)``, ``A(u) = {u} | pred(u)``,
+    ``B(v) = {v} | succ(v)``; with ``P = t | I`` that block leaves ``host`` iff
+    ``(P^T . ~host . P^T)[u, v]`` is nonzero.  float32 is exact: every inner
+    sum is at most n < 2**24."""
+    pt = (t.adj | np.eye(t.n, dtype=bool)).astype(np.float32).T
+    inner = ((1 - host.adj.astype(np.float32)) @ pt > 0.5).astype(np.float32)
+    escapes = pt @ inner > 0.5
+    return not bool(np.any(host.adj & ~t.adj & ~escapes))
+
+
+def oracle_extend_by_blocks(host: Relation, t: Relation) -> Relation:
+    """Try host arcs outside the running set in row-major order, one at a
+    time; commit ``(u, v)`` by setting the matrix block ``A(u) x B(v)`` when
+    that block lies inside the host."""
+    current = t.adj.copy()
+    for u, v in np.argwhere(host.adj):
+        if current[u, v]:
+            continue
+        a, b = current[:, u].copy(), current[v].copy()
+        a[u] = b[v] = True
+        block = np.ix_(a, b)
+        if host.adj[block].all():
+            current[block] = True
+    return Relation(current)
 
 
 def oracle_maximal_cell_scan(r: Relation) -> Relation:

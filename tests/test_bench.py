@@ -8,6 +8,7 @@ from transub import (
     DENSE_VERTEX_BUDGET,
     BenchConfig,
     BudgetError,
+    Relation,
     doubling_ratios,
     maximal_transitive_v1,
     random_relation,
@@ -26,6 +27,14 @@ class TestRandomRelation:
     def test_rejects_overfull(self):
         with pytest.raises(ValueError):
             random_relation(3, 7, 0)
+
+    @pytest.mark.parametrize("n", [0, -3])
+    def test_rejects_vertex_counts_below_one(self, n):
+        with pytest.raises(ValueError, match=f"^vertex count must be at least 1, got {n}$"):
+            random_relation(n, 0, 0)
+
+    def test_one_vertex(self):
+        assert random_relation(1, 0, 0) == Relation.empty(1)
 
 
 class TestConfig:

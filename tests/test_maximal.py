@@ -9,13 +9,16 @@ from hypothesis import strategies as st
 
 from helpers import (
     all_relations,
+    oracle_extend_by_blocks,
     oracle_extend_to_maximal,
+    oracle_is_maximal_by_products,
     oracle_is_maximal_transitive,
     oracle_is_transitive,
     oracle_maximal_cell_scan,
     oracle_traced_run,
     random_digraph,
     relations,
+    wide_matrix,
 )
 from transub import maximal
 from transub import (
@@ -27,6 +30,7 @@ from transub import (
     is_transitive,
     maximal_transitive_v1,
     maximal_transitive_v2,
+    transitive_closure,
 )
 
 
@@ -347,3 +351,67 @@ class TestClosureOracles:
         for t in (out, shrunk, Relation.empty(host.n)):
             if is_transitive(t):
                 self.assert_matches_oracles(host, t)
+
+
+def starting_sets(host):
+    """The v2 result, that result less its last arc (in row-major order)
+    whose removal leaves it transitive, and the empty relation."""
+    out, _ = maximal_transitive_v2(host, collect_trace=False)
+    arcs = out.arcs()
+    for drop in reversed(range(len(arcs))):
+        less = Relation.from_arcs(host.n, arcs[:drop] + arcs[drop + 1 :])
+        if is_transitive(less):
+            return out, less, Relation.empty(host.n)
+    raise AssertionError("no arc of the v2 result can be dropped")
+
+
+class TestPackedRowRoute:
+    """The packed-row growth against the replaced matrix routines, on rows of
+    one and two 64-bit words."""
+
+    @pytest.mark.parametrize("n", [63, 64, 65, 127, 129])
+    @pytest.mark.parametrize("p", [0.02, 0.3, 0.9])
+    def test_matches_product_and_block_oracles(self, n, p):
+        adj = wide_matrix(n, p, seed=n)
+        by_matrix = Relation(adj)
+        by_arcs = rel(n, (np.argwhere(adj) + 1).tolist())
+        verdicts = []
+        for t in starting_sets(by_matrix):
+            verdict = oracle_is_maximal_by_products(by_matrix, t)
+            grown = oracle_extend_by_blocks(by_matrix, t)
+            if p == 0.02 and n <= 65:  # few enough candidate arcs for one closure each
+                assert verdict == oracle_is_maximal_transitive(by_matrix, t)
+                assert grown == oracle_extend_to_maximal(by_matrix, t)
+            for host in (by_matrix, by_arcs):
+                assert is_maximal_transitive(host, t) == verdict
+                assert extend_to_maximal(host, t) == grown
+            assert oracle_is_maximal_by_products(by_matrix, grown)
+            verdicts.append(verdict)
+        # A dropped arc of a maximal set can always rejoin it.
+        assert verdicts == [True, False, False]
+
+    @settings(max_examples=200, deadline=None)
+    @given(relations(max_n=7), st.data())
+    def test_maximal_iff_growing_adds_nothing(self, host, data):
+        # The closure of any subset of a transitive set stays inside it.
+        out, _ = maximal_transitive_v2(host)
+        arcs = out.arcs()
+        keep = data.draw(st.lists(st.booleans(), min_size=len(arcs), max_size=len(arcs)))
+        t = transitive_closure(rel(host.n, [a for a, k in zip(arcs, keep) if k]))
+        assert is_maximal_transitive(host, t) == (extend_to_maximal(host, t) == t)
+
+    def test_sparse_check_allocates_a_few_bytes_per_cell(self):
+        n = 2000
+        rng = np.random.default_rng(2000)
+        host = rel(n, rng.integers(1, n + 1, size=(4 * n, 2)).tolist())
+        t, _ = maximal_transitive_v2(host, collect_trace=False)
+        assert host._adj is None and t._adj is None
+        tracemalloc.start()
+        try:
+            base = tracemalloc.get_traced_memory()[0]
+            verdict = is_maximal_transitive(host, t)
+            peak = tracemalloc.get_traced_memory()[1] - base
+        finally:
+            tracemalloc.stop()
+        assert verdict
+        assert peak < 5 * n * n, f"{peak / 2**20:.1f} MiB"

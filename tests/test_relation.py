@@ -13,8 +13,10 @@ from helpers import (
     oracle_parse_matrix,
     oracle_serialize_matrix,
     oracle_underlying_graph,
+    oracle_warshall_closure,
     ordered_pairs,
     relations,
+    wide_matrix,
 )
 from transub import relation
 from transub import (
@@ -590,7 +592,39 @@ class TestTransitivityByRows:
         assert [relation._transitive_by_rows(a) for a in cases] == expected
 
 
+class TestPackedRows:
+    @pytest.mark.parametrize("n", [1, 63, 64, 65, 129])
+    def test_column_j_is_bit_j_mod_64_of_word_j_div_64(self, n):
+        for i, j in {(0, 0), (0, n - 1), (n - 1, 0), (n // 2, 63 % n), (n - 1, n - 1)}:
+            adj = np.zeros((n, n), dtype=bool)
+            adj[i, j] = True
+            rows = relation._packed_rows(adj)
+            expected = np.zeros((n, -(-n // 64)), dtype=np.uint64)
+            expected[i, j // 64] = np.uint64(1) << np.uint64(j % 64)
+            assert rows.dtype == np.dtype("<u8") and rows.flags.writeable
+            assert np.array_equal(rows, expected), (i, j)
+
+    @pytest.mark.parametrize("n", [1, 63, 64, 65, 129])
+    def test_unpacked_inverts_packed(self, n):
+        adj = np.random.default_rng(n).random((n, n)) < 0.5
+        rows = relation._packed_rows(adj)
+        assert np.array_equal(relation._unpacked(rows, n), adj)
+        # No bit past the last column is set.
+        assert np.array_equal(relation._packed_rows(relation._unpacked(rows, n)), rows)
+
+
 class TestTransitiveClosure:
+    # Rows of one and two 64-bit words, with loops and 2-cycles, from a mean
+    # out-degree near 1/2 (short paths) to one strong component.
+    @pytest.mark.parametrize("n", [63, 64, 65, 127, 129])
+    @pytest.mark.parametrize("p", [0.004, 0.008, 0.016, 0.02, 0.3, 0.9])
+    def test_wide_rows_match_oracles(self, n, p):
+        r = Relation(wide_matrix(n, p, seed=n))
+        closed = transitive_closure(r)
+        assert closed == oracle_warshall_closure(r)
+        assert set(closed.arcs()) == oracle_closure_arcs(r)
+        assert transitive_closure(rel(n, r.arcs())) == closed
+
     def test_path(self):
         assert transitive_closure(rel(3, [(1, 2), (2, 3)])).arcs() == [
             (1, 2), (1, 3), (2, 3),
