@@ -156,6 +156,8 @@ def random_triangle_free_graph(n: int, m: int, seed: int) -> UndirectedGraph:
     """Random balanced bipartite graph on n vertices with m edges, which is
     triangle-free by construction.  Left part is {1..ceil(n/2)}; m distinct
     cross pairs are sampled without replacement from the seeded stream."""
+    if n < 1:
+        raise ValueError("vertex count must be at least 1")
     left = (n + 1) // 2
     capacity = left * (n - left)
     if m < 0:

@@ -15,16 +15,17 @@ deleted afterwards, and the output is exactly the visited set.  v1 and traced
 v2 apply the deletions of a visited arc as two in-place vectorized masks, one
 on a row and one on a column; a traced run also records the set bits of those
 masks, in sweep order, before applying them.  Untraced v2 applies the masks of
-all arcs of row ``i`` at once, since they commute: with ``S`` the successors
-of ``i`` other than ``i``, the rows ``S`` are cut to row ``i``, and a
-predecessor ``k`` keeps ``(k, i)`` only if row ``k`` holds all of ``S``.  It
-works through blocks of ``_ROW_BLOCK`` rows, so it allocates little beyond its
-copy of the matrix.  On a sparse relation it applies the same deletions to
-successor and predecessor sets instead, in O(n + nm) time and O(n + m) memory.
+all arcs of row ``i`` at once, since they commute: the rows of the successors
+of ``i`` are cut to row ``i``, and a predecessor ``k`` keeps ``(k, i)`` only
+if row ``k`` holds row ``i``.  It runs on the n^2 / 8 bytes of packed rows
+of ``relation._packed_rows``, in O(n^2 + (sum over i of |succ(i)| +
+|pred(i)|) * n / 64) time.  On a sparse relation it applies the same
+deletions to successor and predecessor sets instead, in O(n + nm) time and
+O(n + m) memory.
 
 ``is_maximal_transitive`` and ``extend_to_maximal`` share one join rule,
-``_grow``, which tries the host arcs outside a transitive set on the packed
-rows of ``relation._packed_rows``.
+``_grow``, which tries the host arcs outside a transitive set on the same
+packed rows.
 
 Each invocation owns a private copy of the matrix, of the arc sets or of the
 packed rows, so concurrent calls on distinct inputs are safe.
@@ -43,6 +44,7 @@ from .relation import (
     Relation,
     _column,
     _is_sparse,
+    _members,
     _packed_rows,
     _unpacked,
     is_subrelation,
@@ -106,28 +108,26 @@ def _fast_run(r: Relation, row_extract: bool,
     return Relation._from_matrix(adj)
 
 
-# Rows gathered at once by ``_row_run``: 128 KiB per temporary at n=2000.
-_ROW_BLOCK = 64
-
-
 def _row_run(r: Relation) -> Relation:
-    # The untraced dense v2 sweep, all arcs (i, j) of row i in one step: during
-    # iteration i neither row i nor pred(j) for j in succ(i) changes (see
-    # ``_set_run``), so their masks commute.
-    adj = r.adj.copy()
-    for i in range(adj.shape[0]):
-        row = adj[i]
-        succ = row.nonzero()[0]
-        succ = succ[succ != i]
+    # The untraced dense v2 sweep on packed rows (``relation._packed_rows``),
+    # all arcs (i, j) of row i in one step: during iteration i neither row i
+    # nor pred(j) for j in succ(i) changes (see ``_set_run``), so their masks
+    # commute.  The rows of succ(i) are cut to row i, and a predecessor k keeps
+    # (k, i) only if row k holds row i.  A loop (i, i) needs no special case:
+    # row i cut to itself is unchanged, and every k in pred(i) already holds
+    # bit i, so that bit changes no containment test.  A gather is at most
+    # n^2 / 8 bytes.
+    n = r.n
+    rows = _packed_rows(r.adj)
+    for i in range(n):
+        row = rows[i]
+        succ = _members(row, n)
         if not len(succ):
             continue
-        for start in range(0, len(succ), _ROW_BLOCK):
-            adj[succ[start : start + _ROW_BLOCK]] &= row
-        pred = adj[:, i].nonzero()[0]
-        for start in range(0, len(pred), _ROW_BLOCK):
-            block = pred[start : start + _ROW_BLOCK]
-            adj[block[~adj[block[:, None], succ].all(axis=1)], i] = False
-    return Relation._from_matrix(adj)
+        rows[succ] &= row
+        pred = _column(rows, i).nonzero()[0]
+        rows[pred[(rows[pred] & row != row).any(axis=1)], i >> 6] &= ~np.uint64(1 << (i & 63))
+    return Relation._from_matrix(_unpacked(rows, n))
 
 
 def _set_run(r: Relation) -> Relation:
@@ -187,7 +187,7 @@ def maximal_transitive_v2(
 ) -> tuple[Relation, MaximalTrace | None]:
     """Row-extraction route: same sweeps, but only present arcs are touched.
 
-    Untraced runs apply the sweeps of all arcs of a row at once, on blocks of
+    Untraced runs apply the sweeps of all arcs of a row at once, on packed
     matrix rows, or sweep successor and predecessor sets when the relation is
     sparse (``relation._is_sparse``).
     """
@@ -227,7 +227,7 @@ def _grow(host: Relation, t: Relation) -> np.ndarray:
         escape = np.bitwise_or.reduce(miss[a], axis=0)
         # ``escape`` holds ``miss[u]``, so its clear bits are host arcs; v lies
         # in B(v), and an arc already in the set would add nothing.
-        cand = np.flatnonzero(~_unpacked((escape | rows[u])[None], n)[0])
+        cand = _members(~(escape | rows[u]), n)
         fit = cand[~(rows[cand] & escape).any(axis=1)]
         if len(fit):
             block = np.bitwise_or.reduce(rows[fit], axis=0)

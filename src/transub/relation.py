@@ -19,8 +19,9 @@ O(n + m + W log m) time, or testing that each matrix row, packed into 64-bit
 words, contains the rows of its successors, in O(n^2 + m * n / 64); the walks
 are taken when ``_WALK_COST * W < _ROW_COST * n + m * ceil(n / 64)``.  The
 same walk enumeration, ``_two_arc_walks``, yields the CNF and branch-and-bound
-constraints of ``_composition_walks``.  The closure, and the maximality check
-and extension of ``maximal``, run on the same packed rows (``_packed_rows``).
+constraints of ``_composition_walks``.  The closure, and the dense v2 sweep,
+maximality check and extension of ``maximal``, run on the same packed rows
+(``_packed_rows``), whose set bits ``_members`` lists.
 """
 
 from __future__ import annotations
@@ -47,12 +48,14 @@ DENSE_VERTEX_BUDGET = 10000
 
 # Maximal v2 and ``quarter_approx`` run on the arcs when _DENSE_RATIO * m < n^2.
 # On the VM of ``_WALK_COST``, for random loop-free relations with m = n^2 / k,
-# the v2 set sweep against the matrix sweep took 24 / 27, 88 / 98 and
-# 487 / 834 ms at k=32 and n=1000 / 2000 / 4000, and 12 / 23, 42 / 74 and
-# 217 / 663 ms at k=64; the greedy over neighbour lists against the greedy on
-# the matrix in ``quarter_approx`` took 6 / 6, 23 / 19 and 132 / 240 ms at
-# k=64, but 11 / 6 and 54 / 20 ms at k=32 and n=1000 / 2000.  The benchmark's
-# inputs lie far on either side: k=4 (n=2000 matrix) and k=2000 (n=8000, m=4n).
+# the v2 set sweep against the packed-row sweep took 27 / 13, 108 / 26 and
+# 470 / 37 ms at k=32 and n=1000 / 2000 / 4000, and 7 / 8, 61 / 16 and
+# 194 / 38 ms at k=64; the greedy over neighbour lists against the greedy on
+# the matrix in ``quarter_approx`` took 2 / 3, 7 / 8 and 34 / 131 ms at k=64,
+# and 4 / 5, 19 / 13 and 59 / 137 ms at k=32.  The set sweep builds no n^2
+# matrix, and the benchmark's ``maximal-verify`` input (k=75) sits near the
+# ratio, so it stays at 64.  The benchmark's other inputs lie far on either
+# side: k=4 (n=2000 matrix) and k=2000 (n=8000, m=4n).
 _DENSE_RATIO = 64
 
 
@@ -149,6 +152,8 @@ class Relation:
         return list(zip((src + 1).tolist(), (dst + 1).tolist()))
 
     def has_arc(self, u: int, v: int) -> bool:
+        if not (1 <= u <= self._n and 1 <= v <= self._n):
+            raise ValueError(f"arc ({u}, {v}) out of range 1..{self._n}")
         if self._adj is not None:
             return bool(self._adj[u - 1, v - 1])
         lo, hi = np.searchsorted(self._src, [u - 1, u])
@@ -425,8 +430,12 @@ _WALK_CHUNK = 1 << 20
 _WALK_COST = 32
 _ROW_COST = 4096
 
-# Rows gathered at once by ``_transitive_by_rows``: at most 1 MiB per gather.
-_ROW_CHUNK_BYTES = 1 << 20
+
+def _walk_count(r: Relation) -> int:
+    """W, the number of two-arc walks ``a->b->c``: the sum over b of
+    indeg(b) * outdeg(b), from the degrees alone."""
+    out_deg, in_deg = r._degrees()
+    return int(in_deg @ out_deg)
 
 
 def _two_arc_walks(src: np.ndarray, dst: np.ndarray, n: int):
@@ -488,17 +497,20 @@ def _column(rows: np.ndarray, j: int) -> np.ndarray:
     return rows[:, j >> 6] & np.uint64(1 << (j & 63)) != 0
 
 
+def _members(row: np.ndarray, n: int) -> np.ndarray:
+    """The indices of the set bits below ``n`` of one packed row, ascending."""
+    return np.unpackbits(row.view(np.uint8), count=n, bitorder="little").view(bool).nonzero()[0]
+
+
 def _transitive_by_rows(adj: np.ndarray) -> bool:
     # Row a must contain the row of every successor of a; stop at the first
-    # row that does not.
+    # row that does not.  A gather is at most n^2 / 8 bytes.  The successors
+    # are read from the matrix, which costs less than ``_members``.
     rows = _packed_rows(adj)
-    chunk = max(1, _ROW_CHUNK_BYTES // rows.strides[0])
     for a in range(adj.shape[0]):
         succ = adj[a].nonzero()[0]
-        for start in range(0, len(succ), chunk):
-            reach = np.bitwise_or.reduce(rows[succ[start : start + chunk]], axis=0)
-            if np.count_nonzero(reach & ~rows[a]):
-                return False
+        if len(succ) and np.count_nonzero(np.bitwise_or.reduce(rows[succ], axis=0) & ~rows[a]):
+            return False
     return True
 
 
@@ -514,8 +526,7 @@ def is_transitive(r: Relation) -> bool:
     ``_WALK_COST * W < _ROW_COST * n + m * ceil(n / 64)``, and either route
     stops at the first violation.
     """
-    out_deg, in_deg = r._degrees()
-    if _WALK_COST * int(in_deg @ out_deg) < _ROW_COST * r.n + r.m * -(-r.n // 64):
+    if _WALK_COST * _walk_count(r) < _ROW_COST * r.n + r.m * -(-r.n // 64):
         return _transitive_by_walks(r)
     return _transitive_by_rows(r.adj)
 

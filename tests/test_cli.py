@@ -259,6 +259,17 @@ class TestEncode:
         src.write_text("nonsense here today\n")
         assert main(["encode", "--input", str(src)]) == EXIT_PARSE
 
+    def test_walk_budget_exit(self, tmp_path, capsys):
+        # A hub with 1001 in-arcs and 1001 out-arcs has 1001^2 two-arc walks.
+        k, hub = 1001, 2003
+        arcs = [(i, hub) for i in range(1, k + 1)] + [(hub, k + i) for i in range(1, k + 1)]
+        src = tmp_path / "star.rel"
+        src.write_text(f"{hub} {2 * k}\n" + "".join(f"{u} {v}\n" for u, v in arcs))
+        assert main(["encode", "--input", str(src)]) == EXIT_BUDGET
+        assert capsys.readouterr() == (
+            "", "budget error: 1002001 two-arc walks exceeds the encoding budget of 1000000\n"
+        )
+
 
 class TestExperiment:
     def test_zero_trials_is_usage_error(self, capsys):
@@ -278,6 +289,11 @@ class TestExperiment:
         assert main(argv) == 2
         out, err = capsys.readouterr()
         assert (out, err) == ("", message)
+
+    @pytest.mark.parametrize("n, m", [("0", "0"), ("0", "5"), ("-10", "100"), ("-10", "20")])
+    def test_vertex_count_below_one(self, n, m, capsys):
+        assert main(["experiment", "--n", n, "--m", m, "--trials", "1"]) == 2
+        assert capsys.readouterr() == ("", "error: vertex count must be at least 1\n")
 
     def test_over_budget(self, capsys):
         argv = ["experiment", "--n", "21", "--m", "10", "--trials", "1"]

@@ -233,6 +233,11 @@ class TestRandomTriangleFreeGraph:
         assert g1 == g2 and g1.m == 5
         assert is_triangle_free(g1)
 
+    @pytest.mark.parametrize("n, m", [(0, 0), (0, 5), (-10, 100), (-10, 20), (-1, -1)])
+    def test_vertex_count_is_checked_first(self, n, m):
+        with pytest.raises(ValueError, match="^vertex count must be at least 1$"):
+            random_triangle_free_graph(n, m, 0)
+
     def test_capacity_error(self):
         with pytest.raises(ValueError, match="capacity"):
             random_triangle_free_graph(4, 5, 0)

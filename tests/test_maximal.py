@@ -213,8 +213,9 @@ class TestSetRoute:
 
 
     def test_dense_sweep_allocates_one_matrix(self):
-        # The dense sweep copies the input matrix once and returns that copy
-        # frozen, so its allocations peak near n^2 bytes (two copies before).
+        # The dense sweep packs the input matrix into n^2 / 8 bytes of rows
+        # and unpacks them once into the result, which it returns frozen, so
+        # its allocations peak near 1.125 n^2 bytes.
         n = 2000
         r = Relation(np.random.default_rng(2000).random((n, n)) < 0.25)
         maximal_transitive_v2(Relation(np.eye(3, dtype=bool)), collect_trace=False)
@@ -228,29 +229,42 @@ class TestSetRoute:
         assert out._src is None and not out.adj.flags.writeable
         assert peak < 1.25 * n * n, f"{peak / 2**20:.1f} MiB"
 
-# Rows per block of the batched dense sweep: single rows, boundaries inside
-# small rows, and the default.
-ROW_BLOCKS = [1, 3, maximal._ROW_BLOCK]
-
 
 class TestRowRoute:
-    @pytest.mark.parametrize("block", ROW_BLOCKS)
     @settings(max_examples=60, deadline=None)
     @given(data=st.data())
-    def test_matches_cell_scan_and_traced_v2(self, block, data):
+    def test_matches_cell_scan_and_traced_v2(self, data):
         n = data.draw(st.integers(1, 24))
         rng = np.random.default_rng(data.draw(st.integers(0, 2**32 - 1)))
         r = Relation(rng.random((n, n)) < data.draw(st.sampled_from([0.25, 0.5, 0.9])))
         traced, _ = maximal_transitive_v2(r)
-        with pytest.MonkeyPatch.context() as mp:
-            mp.setattr(maximal, "_ROW_BLOCK", block)
-            out, _ = maximal_transitive_v2(r, collect_trace=False)
+        out, _ = maximal_transitive_v2(r, collect_trace=False)
         assert out == oracle_maximal_cell_scan(r) == traced
 
+    @pytest.mark.parametrize("p", [0.02, 0.3, 0.9, 1.0])
+    @pytest.mark.parametrize("n", [63, 64, 65, 127, 129])
+    def test_word_boundary_widths(self, n, p):
+        # Rows of one, two and three packed words, loops included.  The matrix
+        # sweep is called directly, since at p=0.02 v2 takes the set route.
+        r = Relation(np.random.default_rng(n).random((n, n)) < p)
+        out = maximal._row_run(r)
+        assert out == oracle_maximal_cell_scan(r) == maximal_transitive_v2(r)[0]
+        assert maximal_transitive_v2(r, collect_trace=False)[0] == out
+
+    @pytest.mark.parametrize("n", [1, 64, 200])
+    def test_transitive_input_is_returned(self, n):
+        order = Relation(np.triu(np.ones((n, n), dtype=bool), 1))
+        rng = np.random.default_rng(n)
+        closed = transitive_closure(Relation(rng.random((n, n)) < 2 / n))
+        for r in (order, closed):
+            assert maximal._row_run(r) == r
+            assert maximal_transitive_v2(r, collect_trace=False)[0] == r
+
     def test_rows_longer_than_a_block(self):
+        # Rows of three packed words, most of whose bits are set.
         n = 150
         r = Relation(np.random.default_rng(150).random((n, n)) < 0.9)
-        assert np.count_nonzero(r.adj, axis=1).max() > 2 * maximal._ROW_BLOCK
+        assert np.count_nonzero(r.adj, axis=1).max() > 2 * 64
         out, _ = maximal_transitive_v2(r, collect_trace=False)
         assert out == maximal_transitive_v2(r)[0] == oracle_maximal_cell_scan(r)
         assert is_transitive(out)

@@ -109,6 +109,13 @@ class TestViews:
         src, dst = by_matrix._arc_arrays()
         assert not src.flags.writeable and not dst.flags.writeable
 
+    @pytest.mark.parametrize("u, v", [(0, 0), (0, 1), (-1, 2), (3, 1), (1, 3)])
+    def test_has_arc_rejects_vertices_out_of_range(self, u, v):
+        full = rel(2, [(1, 1), (1, 2), (2, 1), (2, 2)])
+        for r in (full, Relation(full.adj)):
+            with pytest.raises(ValueError, match=rf"^arc \({u}, {v}\) out of range 1\.\.2$"):
+                r.has_arc(u, v)
+
     def test_public_constructor_copies_its_matrix(self):
         adj = np.eye(3, dtype=bool)
         r = Relation(adj)
@@ -577,8 +584,8 @@ class TestTransitivityByRows:
         full = transitive_closure(r)
         assert relation._transitive_by_rows(full.adj) and oracle_is_transitive(full)
 
-    def test_chunks_of_successor_rows(self, monkeypatch):
-        # One gathered row per chunk: each chunk of successors is tested alone.
+    def test_chunks_of_successor_rows(self):
+        # All successor rows of a vertex are gathered at once.
         rng = np.random.default_rng(65)
         closed = transitive_closure(Relation(rng.random((65, 65)) < 0.03)).adj
         broken = closed.copy()
@@ -588,7 +595,6 @@ class TestTransitivityByRows:
         cases = (closed, broken, late)
         expected = [oracle_is_transitive(Relation(a)) for a in cases]
         assert expected == [True, False, False]
-        monkeypatch.setattr(relation, "_ROW_CHUNK_BYTES", 1)
         assert [relation._transitive_by_rows(a) for a in cases] == expected
 
 
@@ -611,6 +617,15 @@ class TestPackedRows:
         assert np.array_equal(relation._unpacked(rows, n), adj)
         # No bit past the last column is set.
         assert np.array_equal(relation._packed_rows(relation._unpacked(rows, n)), rows)
+
+    @pytest.mark.parametrize("n", [1, 63, 64, 65, 129])
+    def test_members_are_the_set_bits_below_n(self, n):
+        adj = np.random.default_rng(n).random((n, n)) < 0.5
+        rows = relation._packed_rows(adj)
+        for i in range(n):
+            assert relation._members(rows[i], n).tolist() == np.flatnonzero(adj[i]).tolist()
+            # Complemented rows set the bits past column n - 1 too.
+            assert relation._members(~rows[i], n).tolist() == np.flatnonzero(~adj[i]).tolist()
 
 
 class TestTransitiveClosure:

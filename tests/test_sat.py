@@ -11,6 +11,7 @@ from helpers import (
     random_digraph,
     relations,
 )
+from transub import sat
 from transub import (
     Assignment,
     BudgetError,
@@ -91,6 +92,32 @@ class TestEncoding:
             assert all(
                 1 <= abs(lit) <= f.num_vars for clause in f.clauses for lit in clause
             )
+
+
+def star(k):
+    """A hub with k in-arcs and k out-arcs: k^2 two-arc walks, all through the hub."""
+    hub = 2 * k + 1
+    return rel(hub, [(i, hub) for i in range(1, k + 1)] + [(hub, k + i) for i in range(1, k + 1)])
+
+
+class TestWalkBudget:
+    def test_refused_before_any_walk_is_enumerated(self, monkeypatch):
+        def no_walks(r):
+            raise AssertionError("walks enumerated past the budget")
+
+        monkeypatch.setattr(sat, "_composition_walks", no_walks)
+        k = 1001
+        assert k * k > sat._WALK_BUDGET
+        message = f"^{k * k} two-arc walks exceeds the encoding budget of {sat._WALK_BUDGET}$"
+        with pytest.raises(BudgetError, match=message):
+            encode_mts_to_cnf(star(k))
+
+    def test_the_budget_itself_is_encoded(self, monkeypatch):
+        monkeypatch.setattr(sat, "_WALK_BUDGET", 9)
+        f = encode_mts_to_cnf(star(3))
+        assert len(f.clauses) == 9 and all(len(clause) == 2 for clause in f.clauses)
+        with pytest.raises(BudgetError, match="^16 two-arc walks"):
+            encode_mts_to_cnf(star(4))
 
 
 class TestDimacs:
