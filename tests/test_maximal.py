@@ -231,10 +231,13 @@ class TestSetRoute:
 
 
 class TestRowRoute:
+    # Largest relation size drawn: one vertex, a few, and up to a full
+    # packed word of 64 bits.
+    @pytest.mark.parametrize("max_n", [1, 3, 64])
     @settings(max_examples=60, deadline=None)
     @given(data=st.data())
-    def test_matches_cell_scan_and_traced_v2(self, data):
-        n = data.draw(st.integers(1, 24))
+    def test_matches_cell_scan_and_traced_v2(self, max_n, data):
+        n = data.draw(st.integers(1, max_n))
         rng = np.random.default_rng(data.draw(st.integers(0, 2**32 - 1)))
         r = Relation(rng.random((n, n)) < data.draw(st.sampled_from([0.25, 0.5, 0.9])))
         traced, _ = maximal_transitive_v2(r)
