@@ -18,6 +18,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import math
 import sys
 from dataclasses import asdict, dataclass
 from pathlib import Path
@@ -78,6 +79,23 @@ class RunReport:
         return {**asdict(self), "checks": [{"name": name, "pass": ok} for name, ok in self.checks]}
 
 
+def _finite(value):
+    """``value`` with each non-finite float spelled as in the text reports
+    (``"inf"``, ``"-inf"``, ``"nan"``), since RFC 8259 JSON has no such
+    numbers; every other value is returned as it is."""
+    if isinstance(value, float) and not math.isfinite(value):
+        return str(value)
+    if isinstance(value, dict):
+        return {key: _finite(item) for key, item in value.items()}
+    if isinstance(value, (list, tuple)):
+        return [_finite(item) for item in value]
+    return value
+
+
+def _json_text(document: dict, indent: int | None = None) -> str:
+    return json.dumps(_finite(document), indent=indent, allow_nan=False)
+
+
 def _read_text(path: str) -> str:
     data = sys.stdin.buffer.read() if path == "-" else Path(path).read_bytes()
     try:
@@ -94,7 +112,7 @@ def _write_text(path: str | None, text: str) -> None:
 
 
 def _emit_report(report: RunReport, as_json: bool) -> None:
-    print(json.dumps(report.as_json()) if as_json else report.as_text(), file=sys.stderr)
+    print(_json_text(report.as_json()) if as_json else report.as_text(), file=sys.stderr)
 
 
 def _load_relation(args) -> tuple[Relation, str]:
@@ -194,7 +212,7 @@ def cmd_experiment(args) -> int:
             "trials": [asdict(rep) for rep in reports],
             "summary": asdict(summary),
         }
-        text = json.dumps(document, indent=2)
+        text = _json_text(document, indent=2)
     else:
         lines = [_kv_line("trial", **asdict(rep)) for rep in reports]
         text = "\n".join([*lines, _kv_line("summary", **asdict(summary))])
@@ -219,7 +237,7 @@ def cmd_bench(args) -> int:
                 {"n": a, "n2": b, "v1_ratio": r1, "v2_ratio": r2} for a, b, r1, r2 in doubling
             ],
         }
-        text = json.dumps(document, indent=2)
+        text = _json_text(document, indent=2)
     else:
         lines = []
         for row in rows:

@@ -11,17 +11,19 @@ Two routes produce identical outputs and traces on every input:
   start of iteration ``i``).
 
 A visited arc is one examined while still present; visited arcs are never
-deleted afterwards, and the output is exactly the visited set.  v1 and traced
-v2 apply the deletions of a visited arc as two in-place vectorized masks, one
-on a row and one on a column; a traced run also records the set bits of those
-masks, in sweep order, before applying them.  Untraced v2 applies the masks of
-all arcs of row ``i`` at once, since they commute: the rows of the successors
-of ``i`` are cut to row ``i``, and a predecessor ``k`` keeps ``(k, i)`` only
-if row ``k`` holds row ``i``.  It runs on the n^2 / 8 bytes of packed rows
-of ``relation._packed_rows``, in O(n^2 + (sum over i of |succ(i)| +
-|pred(i)|) * n / 64) time.  On a sparse relation it applies the same
-deletions to successor and predecessor sets instead, in O(n + nm) time and
-O(n + m) memory.
+deleted afterwards, and the output is exactly the visited set.  The sweep of
+a visited arc ``(i, j)`` deletes two sets at once: ``succ(j) - succ(i)``
+(the row rule) and ``pred(i) - pred(j)`` (the column rule).  v1 applies them
+as two in-place masks on a copy of the matrix.  v2 extracts each row once;
+traced, and untraced on a sparse relation, it sweeps successor and
+predecessor sets, in O(n + nm) time and O(n + m) memory.  A traced run of
+either route records the two sets, in sweep order, before applying them.
+Untraced v2 on a dense relation applies the masks of all arcs of row ``i``
+at once, since they commute: the rows of the successors of ``i`` are cut to
+row ``i``, and a predecessor ``k`` keeps ``(k, i)`` only if row ``k`` holds
+row ``i``.  It runs on the n^2 / 8 bytes of packed rows of
+``relation._packed_rows``, in O(n^2 + (sum over i of |succ(i)| +
+|pred(i)|) * n / 64) time.
 
 ``is_maximal_transitive`` and ``extend_to_maximal`` share one join rule,
 ``_grow``, which tries the host arcs outside a transitive set on the same
@@ -70,41 +72,36 @@ class MaximalTrace:
         return {arc for arc, _ in self.deleted}
 
 
-def _record(adj: np.ndarray, i: int, j: int, visited: list[Arc],
+def _record(i: int, j: int, row_gone, col_gone, visited: list[Arc],
             deleted: list[tuple[Arc, int]]) -> None:
-    # Events of the visited arc (i, j), 0-based, read before its masks apply:
-    # missing (i, k) kills (j, k), missing (k, j) kills (k, i), merged by k
-    # with the row rule first.  Only (j, i) can fall to both rules; it is
-    # recorded once, at k = min(i, j).
+    # Events of the visited arc (i, j), 0-based: ``row_gone`` holds the k of
+    # (j, k) whose (i, k) is missing, ``col_gone`` the k of (k, i) whose
+    # (k, j) is missing, both read before either deletion applies.  They are
+    # merged by k with the row rule first.  Only (j, i) can fall to both
+    # rules; it is recorded once, at k = min(i, j).  A loop has neither.
     visited.append((i + 1, j + 1))
-    if j == i:
-        return
-    rows = np.flatnonzero(adj[j] & ~adj[i]).tolist()
-    cols = np.flatnonzero(adj[:, i] & ~adj[:, j]).tolist()
-    events = sorted([(k, 0, (j + 1, k + 1)) for k in rows] + [(k, 1, (k + 1, i + 1)) for k in cols])
+    events = sorted([(k, 0, (j + 1, k + 1)) for k in row_gone] + [(k, 1, (k + 1, i + 1)) for k in col_gone])
     deleted.extend((arc, i + 1) for arc in dict.fromkeys(arc for _, _, arc in events))
 
 
-def _fast_run(r: Relation, row_extract: bool,
-              sink: tuple[list[Arc], list[tuple[Arc, int]]] | None = None) -> Relation:
+def _cell_scan(r: Relation,
+               sink: tuple[list[Arc], list[tuple[Arc, int]]] | None = None) -> Relation:
+    # v1: probe every cell of a copy of the matrix in row-major order.
     adj = r.adj.copy()
     n = adj.shape[0]
     for i in range(n):
         row = adj[i]
-        if row_extract:
-            targets = [int(j) for j in np.flatnonzero(row)]
-        else:
-            targets = range(n)
-        for j in targets:
+        for j in range(n):
             if not row[j]:
                 continue
             if sink is not None:
-                _record(adj, i, j, *sink)
-            if j != i:
-                # row i is invariant during iteration i and adj[i, j] is set,
-                # so these two in-place masks reproduce the k-sweep exactly.
-                adj[j] &= row
-                adj[:, i] &= adj[:, j]
+                _record(i, j, np.flatnonzero(adj[j] & ~row).tolist(),
+                        np.flatnonzero(adj[:, i] & ~adj[:, j]).tolist(), *sink)
+            # row i is invariant during iteration i and adj[i, j] is set,
+            # so these two in-place masks reproduce the k-sweep exactly; a
+            # loop's masks change nothing.
+            adj[j] &= row
+            adj[:, i] &= adj[:, j]
     return Relation._from_matrix(adj)
 
 
@@ -130,13 +127,18 @@ def _row_run(r: Relation) -> Relation:
     return Relation._from_matrix(_unpacked(rows, n))
 
 
-def _set_run(r: Relation) -> Relation:
-    # The fast v2 sweep on successor and predecessor sets: for the visited arc
+def _set_run(r: Relation,
+             sink: tuple[list[Arc], list[tuple[Arc, int]]] | None = None) -> Relation:
+    # The v2 sweep on successor and predecessor sets: for the visited arc
     # (i, j), ``adj[j] &= adj[i]`` deletes succ(j) - succ(i) and
     # ``adj[:, i] &= adj[:, j]`` deletes pred(i) - pred(j); each deletion also
     # updates the other view, so the two stay one relation.  During iteration
     # i neither succ(i) nor pred(j) for j in succ(i) changes, so the sweeps of
-    # one row may run in any order.
+    # one row may run in any order; a traced run takes them in ascending j,
+    # the order of the cell scan.  Both differences are read before either
+    # applies: the row rule can delete (j, i), which only takes j out of
+    # pred(i), and the column rule then deletes it again.  A loop deletes
+    # nothing.
     n = r.n
     src, dst = r._arc_arrays()
     vertex = np.arange(n).astype(object)  # one int per vertex, shared by all sets
@@ -147,31 +149,27 @@ def _set_run(r: Relation) -> Relation:
         pred[v].add(u)
     for i in range(n):
         succ_i, pred_i = succ[i], pred[i]
-        for j in succ_i:
-            if j == i:
-                continue
-            gone = succ[j] - succ_i
-            if gone:
-                succ[j] -= gone
-                for k in gone:
+        for j in succ_i if sink is None else sorted(succ_i):
+            row_gone, col_gone = succ[j] - succ_i, pred_i - pred[j]
+            if sink is not None:
+                _record(i, j, row_gone, col_gone, *sink)
+            if row_gone:
+                succ[j] -= row_gone
+                for k in row_gone:
                     pred[k].discard(j)
-            gone = pred_i - pred[j]
-            if gone:
-                pred_i -= gone
-                for k in gone:
+            if col_gone:
+                pred_i -= col_gone
+                for k in col_gone:
                     succ[k].discard(i)
     counts = [len(s) for s in succ]
     kept = np.fromiter(chain.from_iterable(map(sorted, succ)), dtype=np.intp, count=sum(counts))
     return Relation._from_arc_arrays(n, np.repeat(np.arange(n), counts), kept)
 
 
-def _matrix_run(r: Relation, row_extract: bool,
-                collect_trace: bool) -> tuple[Relation, MaximalTrace | None]:
-    if not collect_trace:
-        return _fast_run(r, row_extract), None
+def _traced(run, r: Relation) -> tuple[Relation, MaximalTrace]:
     visited: list[Arc] = []
     deleted: list[tuple[Arc, int]] = []
-    out = _fast_run(r, row_extract, (visited, deleted))
+    out = run(r, (visited, deleted))
     return out, MaximalTrace(tuple(visited), tuple(deleted))
 
 
@@ -179,7 +177,7 @@ def maximal_transitive_v1(
     r: Relation, collect_trace: bool = True
 ) -> tuple[Relation, MaximalTrace | None]:
     """Cell-scan route: probe all n^2 cells, sweep on each present arc."""
-    return _matrix_run(r, row_extract=False, collect_trace=collect_trace)
+    return _traced(_cell_scan, r) if collect_trace else (_cell_scan(r), None)
 
 
 def maximal_transitive_v2(
@@ -187,13 +185,14 @@ def maximal_transitive_v2(
 ) -> tuple[Relation, MaximalTrace | None]:
     """Row-extraction route: same sweeps, but only present arcs are touched.
 
-    Untraced runs apply the sweeps of all arcs of a row at once, on packed
-    matrix rows, or sweep successor and predecessor sets when the relation is
-    sparse (``relation._is_sparse``).
+    Traced runs sweep successor and predecessor sets at every density and
+    build no matrix.  Untraced runs sweep those sets when the relation is
+    sparse (``relation._is_sparse``), and otherwise apply the sweeps of all
+    arcs of a row at once, on packed matrix rows.
     """
-    if not collect_trace:
-        return (_set_run(r) if _is_sparse(r) else _row_run(r)), None
-    return _matrix_run(r, row_extract=True, collect_trace=collect_trace)
+    if collect_trace:
+        return _traced(_set_run, r)
+    return (_set_run(r) if _is_sparse(r) else _row_run(r)), None
 
 
 def _require_transitive_sub(host: Relation, t: Relation) -> None:

@@ -10,9 +10,10 @@ constructed; two threads that build the same missing view at once store equal
 arrays, so relations are safe to share across threads.
 
 Routes that have both a matrix and an arc form pick one from n and m alone,
-never from the view held: the maximal v2 sweep and ``quarter_approx`` run on
-the arcs when ``_DENSE_RATIO * m < n^2``.  The exception is
-``is_subrelation``, which builds no matrix for two relations that hold none.
+never from the view held: the untraced maximal v2 sweep and
+``quarter_approx`` run on the arcs when ``_DENSE_RATIO * m < n^2``.  The
+exception is ``is_subrelation``, which builds no matrix for two relations
+that hold none.
 Transitivity is checked by the cheaper of two routes: walking all W two-arc
 walks ``a->b->c`` (W = sum over b of indeg * outdeg, at most nm) in
 O(n + m + W log m) time, or testing that each matrix row, packed into 64-bit
@@ -26,6 +27,7 @@ maximality check and extension of ``maximal``, run on the same packed rows
 
 from __future__ import annotations
 
+import operator
 import re
 from dataclasses import dataclass
 
@@ -46,7 +48,8 @@ MATRIX_FORMAT = "matrix"
 # n=4000 and 176 MiB at n=8000, about 31 MiB of it interpreter.
 DENSE_VERTEX_BUDGET = 10000
 
-# Maximal v2 and ``quarter_approx`` run on the arcs when _DENSE_RATIO * m < n^2.
+# Untraced maximal v2 and ``quarter_approx`` run on the arcs when
+# _DENSE_RATIO * m < n^2.
 # On the VM of ``_WALK_COST``, for random loop-free relations with m = n^2 / k,
 # the v2 set sweep against the packed-row sweep took 27 / 13, 108 / 26 and
 # 470 / 37 ms at k=32 and n=1000 / 2000 / 4000, and 7 / 8, 61 / 16 and
@@ -138,12 +141,20 @@ class Relation:
 
     @classmethod
     def from_arcs(cls, n: int, arcs) -> "Relation":
-        """Build a relation from 1-based arc pairs; duplicates collapse."""
-        pairs = np.array(list(arcs), dtype=np.int64).reshape(-1, 2)
+        """Build a relation from 1-based arc pairs of integers; duplicates
+        collapse.  ValueError for an item that is not a pair or an endpoint
+        that is not an integer: floats and strings are not converted."""
+        items = list(arcs)
+        pairs = np.array(items) if items else np.zeros((0, 2), dtype=np.int64)
+        if pairs.ndim != 2 or pairs.shape[1] != 2:
+            raise ValueError(f"arcs must be (u, v) pairs, got an array of shape {pairs.shape}")
+        if pairs.dtype.kind not in "biu":
+            raise ValueError(f"arc endpoints must be 64-bit integers, got {pairs.dtype}")
         bad = np.flatnonzero(((pairs < 1) | (pairs > n)).any(axis=1))
         if len(bad):
             u, v = pairs[bad[0]].tolist()
             raise ValueError(f"arc ({u}, {v}) out of range 1..{n}")
+        pairs = pairs.astype(np.int64, copy=False)
         return cls._from_codes(n, (pairs[:, 0] - 1) * n + (pairs[:, 1] - 1))
 
     def arcs(self) -> ArcList:
@@ -152,6 +163,7 @@ class Relation:
         return list(zip((src + 1).tolist(), (dst + 1).tolist()))
 
     def has_arc(self, u: int, v: int) -> bool:
+        u, v = _endpoints(u, v)
         if not (1 <= u <= self._n and 1 <= v <= self._n):
             raise ValueError(f"arc ({u}, {v}) out of range 1..{self._n}")
         if self._adj is not None:
@@ -174,6 +186,14 @@ class Relation:
 
     def __repr__(self) -> str:
         return f"Relation(n={self.n}, m={self.m})"
+
+
+def _endpoints(u, v) -> tuple[int, int]:
+    """``(u, v)`` as ints; ValueError unless both are integers."""
+    try:
+        return operator.index(u), operator.index(v)
+    except TypeError:
+        raise ValueError(f"arc endpoints must be integers, got ({u!r}, {v!r})") from None
 
 
 def _frozen(arr: np.ndarray) -> np.ndarray:
@@ -201,6 +221,7 @@ class UndirectedGraph:
         if self.n < 1:
             raise ValueError("vertex count must be at least 1")
         for u, v in self.edges:
+            _endpoints(u, v)
             if u == v:
                 raise ValueError(f"self-loop ({u}, {v}) not allowed")
             if not (1 <= u < v <= self.n):

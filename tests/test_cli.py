@@ -335,6 +335,36 @@ class TestExperiment:
         assert len(doc["trials"]) == 2
         assert doc["summary"]["trials"] == 2
 
+    @pytest.mark.parametrize("flags, fields", [
+        (["--delta", "inf", "--cprime", "inf"], {"delta": "inf", "cprime": "inf", "bound_upper": "inf"}),
+        (["--k", "-1", "--delta", "1e10"], {"chernoff_bound": "inf"}),
+        (["--cprime=-inf"], {"cprime": "-inf", "bound_upper": "-inf"}),
+    ])
+    def test_json_spells_non_finite_floats_as_text(self, capsys, flags, fields):
+        # RFC 8259 has no Infinity or NaN; a strict parser must read the document.
+        argv = ["experiment", "--n", "6", "--m", "5", "--trials", "1", *flags]
+        assert main([*argv, "--json"]) == EXIT_OK
+
+        def reject(constant):
+            raise ValueError(f"non-standard JSON constant {constant}")
+
+        doc = json.loads(capsys.readouterr().out, parse_constant=reject)
+        found = {**doc["trials"][0], **doc["summary"]}
+        assert {key: found[key] for key in fields} == fields
+        assert main(argv) == EXIT_OK  # the text report spells them alike
+        text = capsys.readouterr().out
+        assert all(f" {key}={value}" in text for key, value in fields.items())
+
+    def test_json_text_spells_nan_in_nested_lists(self):
+        doc = {"a": [1.5, float("nan"), (float("-inf"), 2)], "b": {"c": float("inf")}}
+        assert cli._json_text(doc) == '{"a": [1.5, "nan", ["-inf", 2]], "b": {"c": "inf"}}'
+
+    def test_json_of_finite_floats_is_unchanged(self, capsys):
+        argv = ["experiment", "--n", "8", "--m", "10", "--trials", "3", "--seed", "5", "--json"]
+        assert main(argv) == EXIT_OK
+        out = capsys.readouterr().out
+        assert out == json.dumps(json.loads(out), indent=2) + "\n"
+
 
 class TestBench:
     def test_tiny_run(self, capsys):

@@ -165,10 +165,10 @@ class TestOutputContract:
 
 
 def sweep_routes(r):
-    """Arcs of the v2 set route and of the dense sweep, each called directly;
-    the set route reads the arcs, the dense sweep a copy of the matrix."""
+    """Arcs of the v2 set route and of the dense v2 sweep, each called
+    directly; the set route reads the arcs, the dense sweep packed matrix rows."""
     by_sets = maximal._set_run(Relation.from_arcs(r.n, r.arcs()))
-    by_matrix = maximal._fast_run(Relation(r.adj), row_extract=True)
+    by_matrix = maximal._row_run(Relation(r.adj))
     return by_sets.arcs(), by_matrix.arcs()
 
 
@@ -193,14 +193,16 @@ class TestSetRoute:
         assert 0 < len(by_sets) < r.m
 
     def test_sparse_input_takes_the_set_route(self, monkeypatch):
-        def no_matrix(r, row_extract):
+        def no_matrix(r, sink=None):
             raise AssertionError("matrix sweep on a sparse input")
 
-        monkeypatch.setattr(maximal, "_fast_run", no_matrix)
+        monkeypatch.setattr(maximal, "_cell_scan", no_matrix)
+        monkeypatch.setattr(maximal, "_row_run", no_matrix)
         r = Relation.from_arcs(100, [(i, i % 100 + 1) for i in range(1, 101)])
-        out, _ = maximal_transitive_v2(r, collect_trace=False)
-        assert r._adj is None and out._adj is None  # no matrix was built
-        assert out == oracle_maximal_cell_scan(r)
+        for collect_trace in (False, True):
+            out, _ = maximal_transitive_v2(r, collect_trace=collect_trace)
+            assert r._adj is None and out._adj is None  # no matrix was built
+            assert out == oracle_maximal_cell_scan(r)
 
     def test_dense_input_takes_the_matrix_route(self, monkeypatch):
         def no_sets(r):
@@ -228,6 +230,35 @@ class TestSetRoute:
             tracemalloc.stop()
         assert out._src is None and not out.adj.flags.writeable
         assert peak < 1.25 * n * n, f"{peak / 2**20:.1f} MiB"
+
+
+class TestTracedSetRoute:
+    """Traced v2 sweeps successor and predecessor sets at every density; its
+    output and trace must equal the cell scan's and the loop oracle's
+    (``assert_traces_match_oracle`` runs both routes)."""
+
+    def test_sparse_arc_input_builds_no_matrix(self):
+        n = 2000
+        rng = np.random.default_rng(2000)
+        r = Relation.from_arcs(n, rng.integers(1, n + 1, size=(4 * n, 2)).tolist())
+        out, trace = maximal_transitive_v2(r)
+        assert r._adj is None and out._adj is None
+        assert list(trace.visited) == out.arcs()
+        assert out == maximal_transitive_v2(r, collect_trace=False)[0]
+
+    def test_seeded_sparse_matches_oracle(self):
+        n = 300
+        rng = np.random.default_rng(300)
+        r = Relation.from_arcs(n, rng.integers(1, n + 1, size=(4 * n, 2)).tolist())
+        assert_traces_match_oracle(r)
+
+    @pytest.mark.parametrize("p", [0.3, 0.9])
+    @pytest.mark.parametrize("n", [63, 65, 129])
+    def test_dense_with_loops_matches_oracle(self, n, p):
+        adj = np.random.default_rng(n).random((n, n)) < p
+        adj[np.diag_indices(n)] = np.arange(n) % 2 == 0
+        r = Relation(adj)
+        assert_traces_match_oracle(r)
 
 
 class TestRowRoute:

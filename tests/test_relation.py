@@ -81,6 +81,28 @@ class TestRelationType:
         with pytest.raises(ValueError):
             rel(2, [(1, 3)])
 
+    @pytest.mark.parametrize("arcs", [[(1.5, 2)], [(1, 2.0)], [("1", "3")], [(1, "x")], [(None, 1)]])
+    def test_rejects_non_integer_endpoints(self, arcs):
+        with pytest.raises(ValueError, match="^arc endpoints must be 64-bit integers, got "):
+            rel(3, arcs)
+
+    @pytest.mark.parametrize("arcs", [[(1, 2, 3), (1, 2, 3)], [1, 2, 2, 3], [(1,)], [[]],
+                                      [[(1, 2)]]])
+    def test_rejects_items_that_are_not_pairs(self, arcs):
+        with pytest.raises(ValueError, match=r"^arcs must be \(u, v\) pairs, got an array of shape "):
+            rel(3, arcs)
+
+    def test_rejects_ragged_items(self):
+        with pytest.raises(ValueError):
+            rel(3, [(1, 2), (1, 2, 3)])
+
+    def test_accepts_integer_arrays_of_any_width(self):
+        for dtype in (np.int8, np.int32, np.uint16, np.uint64):
+            r = rel(300, np.array([[1, 2], [100, 1]], dtype=dtype))
+            assert r.arcs() == [(1, 2), (100, 1)]
+            assert r._arc_arrays()[0].dtype == np.int64
+        assert rel(3, iter([])).m == 0 and rel(3, {(2, 3)}).arcs() == [(2, 3)]
+
     @given(relations())
     def test_arc_round_trip(self, r):
         assert Relation.from_arcs(r.n, r.arcs()) == r
@@ -115,6 +137,18 @@ class TestViews:
         for r in (full, Relation(full.adj)):
             with pytest.raises(ValueError, match=rf"^arc \({u}, {v}\) out of range 1\.\.2$"):
                 r.has_arc(u, v)
+
+    @pytest.mark.parametrize("u, v", [(1.5, 2), (1, 2.0), ("1", 2), (None, 1)])
+    def test_has_arc_rejects_non_integer_endpoints(self, u, v):
+        r = rel(2, [(1, 2)])
+        for view in (r, Relation(r.adj)):
+            with pytest.raises(ValueError, match=r"^arc endpoints must be integers, got \("):
+                view.has_arc(u, v)
+
+    def test_has_arc_takes_numpy_integers(self):
+        r = rel(2, [(1, 2)])
+        for view in (r, Relation(r.adj)):
+            assert view.has_arc(np.int64(1), np.uint8(2)) and not view.has_arc(np.int32(2), 1)
 
     def test_public_constructor_copies_its_matrix(self):
         adj = np.eye(3, dtype=bool)
@@ -759,6 +793,13 @@ class TestTriangleFree:
 
     def test_empty(self):
         assert is_triangle_free(UndirectedGraph.from_edges(3, []))
+
+    @pytest.mark.parametrize("edge", [(1.5, 2), (1, 3.0), ("1", "2")])
+    def test_rejects_non_integer_endpoints(self, edge):
+        with pytest.raises(ValueError, match="^arc endpoints must be integers, got "):
+            UndirectedGraph.from_edges(3, [edge])
+        with pytest.raises(ValueError, match="^arc endpoints must be integers, got "):
+            UndirectedGraph(3, frozenset([edge]))
 
 
 class TestPathLengthTwo:
