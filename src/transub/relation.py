@@ -229,9 +229,14 @@ class UndirectedGraph:
 
     @classmethod
     def from_edges(cls, n: int, edges) -> "UndirectedGraph":
-        """Build from arbitrary unordered pairs; orientation and duplicates are normalized away."""
+        """Build from arbitrary unordered pairs; orientation and duplicates are
+        normalized away.  ValueError for an item that is not a pair."""
         normalized = set()
-        for u, v in edges:
+        for edge in edges:
+            try:
+                u, v = edge
+            except (TypeError, ValueError):
+                raise ValueError(f"edges must be (u, v) pairs, got {edge!r}") from None
             if u == v:
                 raise ValueError(f"self-loop ({u}, {v}) not allowed")
             normalized.add((min(u, v), max(u, v)))

@@ -3,7 +3,6 @@ import json
 import subprocess
 import sys
 import tracemalloc
-from pathlib import Path
 
 import pytest
 from hypothesis import example, given, settings
@@ -415,17 +414,3 @@ class TestEntryPoint:
         )
         assert proc.returncode == 0
         assert proc.stdout == "3 1\n1 2\n"
-
-
-class TestScripts:
-    def test_balance_experiment_smoke(self):
-        root = Path(__file__).resolve().parents[1]
-        proc = subprocess.run(
-            [sys.executable, str(root / "scripts" / "balance_experiment.py"),
-             "--n", "8", "--m", "12", "--trials", "2", "--deltas", "0.5"],
-            capture_output=True,
-            text=True,
-            cwd=root,
-        )
-        assert proc.returncode == 0, proc.stderr
-        assert proc.stdout.startswith("graph: n=8 m=12 ")

@@ -801,6 +801,11 @@ class TestTriangleFree:
         with pytest.raises(ValueError, match="^arc endpoints must be integers, got "):
             UndirectedGraph(3, frozenset([edge]))
 
+    @pytest.mark.parametrize("edges", [[1, 2], [(1, 2, 3)], [(1,)]])
+    def test_rejects_items_that_are_not_pairs(self, edges):
+        with pytest.raises(ValueError, match=r"^edges must be \(u, v\) pairs, got "):
+            UndirectedGraph.from_edges(3, edges)
+
 
 class TestPathLengthTwo:
     def test_examples(self):
