@@ -24,7 +24,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import TriangleFoundError
-from .maximum import VertexPartition, dicut_size, forward_cut_table
+from .maximum import VertexPartition, _require_cut_budget, dicut_size, forward_cut_table
 from .relation import Relation, UndirectedGraph, find_triangle
 
 _MASK64 = (1 << 64) - 1
@@ -136,6 +136,7 @@ def check_k_delta_balanced(r: Relation, k: int, delta: float) -> bool:
     """True iff every cut of total size >= k is delta-balanced, exhaustively
     over all 2^(n-1) distinct bipartitions (n within the cut-table budget)."""
     _check_delta(delta)
+    _require_cut_budget(r.n)
     return _balanced_fraction(r.adj, k, delta) == 1.0
 
 
@@ -188,6 +189,7 @@ def run_balance_experiment(
     _check_delta(delta)
     if math.isnan(cprime):
         raise ValueError(f"cprime must be a number, got {cprime}")
+    _require_cut_budget(g.n)
     triangle = find_triangle(g)
     if triangle is not None:
         raise TriangleFoundError(triangle)

@@ -248,13 +248,11 @@ def forward_cut_table(adj: np.ndarray) -> np.ndarray:
     the diagonal.  The sum for all masks is itself built by doubling, in place
     in the half of the table it feeds.  About 2 * 2^n int32 additions, with no
     float array and no matrix product.  More than ``DEFAULT_VERTEX_BUDGET``
-    vertices raise ``BudgetError`` before anything is allocated.
+    vertices raise ``BudgetError`` before the table is allocated; the routines
+    that build the matrix for it check the same limit before the matrix.
     """
     n = adj.shape[0]
-    if n > DEFAULT_VERTEX_BUDGET:
-        raise BudgetError(
-            f"{n} vertices exceeds the enumeration budget of {DEFAULT_VERTEX_BUDGET}"
-        )
+    _require_cut_budget(n)
     a = adj.astype(np.int32)
     np.fill_diagonal(a, 0)
     w = a + a.T
@@ -268,6 +266,13 @@ def forward_cut_table(adj: np.ndarray) -> np.ndarray:
             np.add(half[: 1 << k], w[v, k], out=half[1 << k : 2 << k])
         np.subtract(table[:size], half, out=half)
     return table
+
+
+def _require_cut_budget(n: int) -> None:
+    if n > DEFAULT_VERTEX_BUDGET:
+        raise BudgetError(
+            f"{n} vertices exceeds the enumeration budget of {DEFAULT_VERTEX_BUDGET}"
+        )
 
 
 def _partition_from_mask(mask: int, n: int) -> VertexPartition:
@@ -288,6 +293,7 @@ def _lexicographic_keys(masks: np.ndarray, n: int) -> np.ndarray:
 def brute_force_max_dicut(r: Relation) -> DicutResult:
     """Exhaustive maximum directed cut; ties resolved to the lexicographically
     smallest side vector (U before V, vertex 1 first)."""
+    _require_cut_budget(r.n)
     table = forward_cut_table(r.adj)
     best = int(table.max())
     candidates = np.flatnonzero(table == best)

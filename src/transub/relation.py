@@ -62,6 +62,10 @@ DENSE_VERTEX_BUDGET = 10000
 _DENSE_RATIO = 64
 
 
+# Largest n whose 0-based cell codes ``u * n + v``, up to n^2 - 1, fit int64.
+_CODED_VERTEX_LIMIT = 3037000499
+
+
 def _is_sparse(r: "Relation") -> bool:
     return _DENSE_RATIO * r.m < r.n * r.n
 
@@ -143,7 +147,12 @@ class Relation:
     def from_arcs(cls, n: int, arcs) -> "Relation":
         """Build a relation from 1-based arc pairs of integers; duplicates
         collapse.  ValueError for an item that is not a pair or an endpoint
-        that is not an integer: floats and strings are not converted."""
+        that is not an integer: floats and strings are not converted.
+        ValueError for more than ``_CODED_VERTEX_LIMIT`` vertices."""
+        if n > _CODED_VERTEX_LIMIT:
+            raise ValueError(
+                f"{n} vertices exceeds {_CODED_VERTEX_LIMIT}, the most whose cell codes fit int64"
+            )
         items = list(arcs)
         pairs = np.array(items) if items else np.zeros((0, 2), dtype=np.int64)
         if pairs.ndim != 2 or pairs.shape[1] != 2:
@@ -269,10 +278,13 @@ def _parse_edge_list_fast(text: str) -> Relation | None:
     """The relation of a plain edge list, tokenized with numpy; None for any
     other text, which ``_parse_edge_list_lines`` then parses or rejects.
 
-    Plain means digits, spaces, tabs and newlines only, two tokens on every
-    non-blank line, a header ``n`` within the budget and every arc endpoint in
-    ``1..n``: exactly the texts the line loop accepts without a comment, a
-    sign, an underscore, a non-ASCII digit or any other line break.
+    Plain means digits, spaces, tabs and newlines only, two tokens of at most
+    18 digits on every non-blank line, a header ``n`` within the budget and
+    every arc endpoint in ``1..n``: exactly the texts the line loop accepts
+    without a comment, a sign, an underscore, a non-ASCII digit, any other line
+    break or a 19-digit token.  Such a text is whitespace-separated integers
+    only, so ``np.fromstring`` reads every byte of it, and every token fits
+    int64.
     """
     if not text.isascii():
         return None
@@ -283,22 +295,16 @@ def _parse_edge_list_fast(text: str) -> Relation | None:
         return None
     edges = np.diff(digit.view(np.int8), prepend=np.int8(0), append=np.int8(0))
     starts, ends = np.flatnonzero(edges == 1), np.flatnonzero(edges == -1)
-    if len(starts) < 2 or len(starts) % 2:
+    # 18 digits fit int64, and Python's int() takes them.
+    if len(starts) < 2 or np.any(ends - starts > 18):
         return None
-    line = np.searchsorted(np.flatnonzero(newline), starts).reshape(-1, 2)
-    if np.any(line[:, 0] != line[:, 1]) or np.any(line[1:, 0] == line[:-1, 1]):
-        return None
-    lengths = ends - starts
-    if np.any(lengths > 18):  # 18 digits fit int64, and Python's int() takes them
+    per_line = np.bincount(np.searchsorted(np.flatnonzero(newline), starts))
+    if np.any((per_line != 0) & (per_line != 2)):
         return None
     n = int(text[starts[0] : ends[0]])  # the header's arc count is never read
     if not 1 <= n <= DENSE_VERTEX_BUDGET:
         return None
-    first, lengths = starts[2:], lengths[2:]
-    values = np.zeros(len(first), dtype=np.int64)
-    for k in range(int(lengths.max(initial=0))):
-        more = lengths > k
-        values[more] = values[more] * 10 + (buf[first[more] + k] - ord("0"))
+    values = np.fromstring(text, dtype=np.int64, sep=" ")[2:]
     if np.any((values < 1) | (values > n)):
         return None
     return Relation._from_codes(n, (values[0::2] - 1) * n + (values[1::2] - 1))
@@ -345,22 +351,28 @@ def _require_dense_budget(n: int) -> None:
 
 
 def parse_matrix(text: str) -> Relation:
+    """The 0/1 matrix document; blank lines before the first row and after
+    the last are dropped, and row errors carry document line numbers."""
     lines = text.splitlines()
     while lines and not lines[-1].strip():
         lines.pop()
-    if not lines:
+    skipped = 0
+    while skipped < len(lines) and not lines[skipped].strip():
+        skipped += 1
+    if skipped == len(lines):
         raise ParseError("empty document")
-    n = len(lines)
+    n = len(lines) - skipped
     _require_dense_budget(n)
     adj = np.zeros((n, n), dtype=bool)
-    for i, line in enumerate(lines):
+    for i, line in enumerate(lines[skipped:]):
+        lineno = skipped + i + 1
         if len(line) != n:
-            raise ParseError(f"row has {len(line)} characters, expected {n}", i + 1)
+            raise ParseError(f"row has {len(line)} characters, expected {n}", lineno)
         # Any character outside {0, 1}, a non-ASCII one included (as "?"),
         # survives the C-speed deletion of the 0s and 1s.
         row = line.encode("ascii", "replace")
         if row.translate(None, b"01"):
-            raise ParseError(f"characters outside {{0, 1}}: {line!r}", i + 1)
+            raise ParseError(f"characters outside {{0, 1}}: {line!r}", lineno)
         adj[i] = np.frombuffer(row, dtype=np.uint8) == ord("1")
     return Relation._from_matrix(adj)
 
@@ -389,7 +401,7 @@ def detect_format(text: str) -> str:
         raise ParseError("empty document")
     start = first.start()
     lineno = len((text[:start] + "#").splitlines())
-    line = _line_at(text, start).rstrip()
+    line = _LINE.match(text, start).group().rstrip()
     if line.startswith("#"):
         return EDGE_LIST_FORMAT
     tokens = line.split()
@@ -406,17 +418,8 @@ def detect_format(text: str) -> str:
 
 # The same whitespace as ``str.isspace``, every line break included.
 _NON_SPACE = re.compile(r"\S")
-
-
-def _line_at(text: str, start: int) -> str:
-    """The rest of the line that begins at ``start``, by ``str.splitlines``,
-    read through prefixes of doubling length rather than the whole text."""
-    size = 256
-    while True:
-        lines = text[start : start + size].splitlines()
-        if len(lines) > 1 or start + size >= len(text):
-            return lines[0]
-        size *= 2
+# A line up to the first of the ``str.splitlines`` breaks.
+_LINE = re.compile("[^\n\r\x0b\x0c\x1c-\x1e\x85\u2028\u2029]*")
 
 
 def parse_relation(text: str) -> tuple[Relation, str]:

@@ -259,23 +259,25 @@ def oracle_serialize_matrix(r: Relation) -> str:
 
 
 def oracle_parse_matrix(text: str) -> Relation:
-    """The 0/1 matrix document row by row: the row limit first, then for each
-    row its length before its alphabet, checked with a set of characters."""
+    """The 0/1 matrix document row by row: the rows run from the first line
+    that is not blank to the last; the row limit first, then for each row its
+    length before its alphabet, checked with a set of characters."""
     lines = text.splitlines()
-    while lines and not lines[-1].strip():
-        lines.pop()
-    if not lines:
+    content = [lineno for lineno, line in enumerate(lines, start=1) if line.strip()]
+    if not content:
         raise ParseError("empty document")
-    n = len(lines)
+    first, last = content[0], content[-1]
+    n = last - first + 1
     if n > DENSE_VERTEX_BUDGET:
         raise BudgetError(f"{n} vertices exceeds the dense limit of {DENSE_VERTEX_BUDGET}")
     adj = np.zeros((n, n), dtype=bool)
-    for i, line in enumerate(lines):
+    for lineno in range(first, last + 1):
+        line = lines[lineno - 1]
         if len(line) != n:
-            raise ParseError(f"row has {len(line)} characters, expected {n}", i + 1)
+            raise ParseError(f"row has {len(line)} characters, expected {n}", lineno)
         if set(line) - {"0", "1"}:
-            raise ParseError(f"characters outside {{0, 1}}: {line!r}", i + 1)
-        adj[i] = [c == "1" for c in line]
+            raise ParseError(f"characters outside {{0, 1}}: {line!r}", lineno)
+        adj[lineno - first] = [c == "1" for c in line]
     return Relation(adj)
 
 

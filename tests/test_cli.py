@@ -162,6 +162,23 @@ class TestClosureAndCheck:
         assert captured.out == "3 2\n1 2\n2 3\n"  # the result is still written
         assert "checks=transitive:fail,contains_input:fail " in captured.err
 
+    def test_closure_over_output_limit(self, cycle_file, tmp_path, monkeypatch, capsys):
+        out = tmp_path / "out.rel"
+        monkeypatch.setattr(cli, "_CLOSURE_ARC_BUDGET", 9)
+        assert main(["closure", "--input", cycle_file, "--output", str(out)]) == EXIT_OK
+        monkeypatch.setattr(cli, "_CLOSURE_ARC_BUDGET", 8)
+        out.unlink()
+        capsys.readouterr()
+        assert main(["closure", "--input", cycle_file, "--output", str(out)]) == EXIT_BUDGET
+        assert not out.exists()
+        assert capsys.readouterr() == (
+            "", "budget error: closure of 9 arcs exceeds the edge-list output limit of 8\n"
+        )
+        matrix = tmp_path / "cycle.mat"
+        matrix.write_text("010\n001\n100\n")  # a matrix costs n^2 bytes at any size
+        assert main(["closure", "--input", str(matrix)]) == EXIT_OK
+        assert capsys.readouterr().out == "111\n111\n111\n"
+
     def test_check_transitive_verdict(self, tmp_path, capsys):
         src = tmp_path / "t.rel"
         src.write_text("2 1\n1 2\n")
@@ -299,6 +316,14 @@ class TestExperiment:
         assert main(argv) == EXIT_BUDGET
         assert capsys.readouterr() == (
             "", "budget error: 21 vertices exceeds the enumeration budget of 20\n"
+        )
+
+    def test_over_budget_before_the_matrix(self, capsys):
+        # An orientation's matrix would take 931 GiB.
+        argv = ["experiment", "--n", "1000000", "--m", "10", "--trials", "1"]
+        assert main(argv) == EXIT_BUDGET
+        assert capsys.readouterr() == (
+            "", "budget error: 1000000 vertices exceeds the enumeration budget of 20\n"
         )
 
     @pytest.mark.parametrize(

@@ -145,6 +145,12 @@ class TestKDeltaBalanced:
         with pytest.raises(BudgetError, match="21 vertices exceeds the enumeration budget of 20"):
             check_k_delta_balanced(Relation.empty(21), 1, 0.5)
 
+    def test_budget_before_the_matrix(self):
+        r = Relation.empty(10**6)  # its matrix would take 931 GiB
+        with pytest.raises(BudgetError, match="1000000 vertices exceeds the enumeration budget"):
+            check_k_delta_balanced(r, 1, 0.5)
+        assert r._adj is None
+
     def test_full_budget(self):
         # every cut of the empty relation is empty, and balanced even for an infinite delta
         assert check_k_delta_balanced(Relation.empty(20), 0, math.inf)
@@ -302,6 +308,19 @@ class TestBalanceExperiment:
         a = run_balance_experiment(g, 5, 3, 0.6, 9, 1.0)
         b = run_balance_experiment(g, 5, 3, 0.6, 9, 1.0)
         assert a == b
+
+    def test_budget_before_the_matrix(self):
+        # The orientation's matrix would be 24 MiB; neither it nor the
+        # triangle search's masks are built.
+        g = random_triangle_free_graph(5000, 10, 0)
+        tracemalloc.start()
+        try:
+            with pytest.raises(BudgetError, match="5000 vertices exceeds the enumeration budget"):
+                run_balance_experiment(g, 1, 1, 0.5, 0, 1.0)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 2**20, f"{peak / 2**20:.1f} MiB"
 
     def test_triangle_rejected(self):
         g = UndirectedGraph.from_edges(3, [(1, 2), (2, 3), (1, 3)])

@@ -300,6 +300,12 @@ class TestBruteForceMaxDicut:
         with pytest.raises(BudgetError, match="20"):
             brute_force_max_dicut(Relation.empty(21))
 
+    def test_budget_before_the_matrix(self):
+        r = Relation.empty(10**6)  # its matrix would take 931 GiB
+        with pytest.raises(BudgetError, match="1000000 vertices exceeds the enumeration budget"):
+            brute_force_max_dicut(r)
+        assert r._adj is None
+
     def test_empty_ties_to_all_u(self):
         d = brute_force_max_dicut(Relation.empty(3))
         assert d.forward == 0

@@ -103,6 +103,16 @@ class TestRelationType:
             assert r._arc_arrays()[0].dtype == np.int64
         assert rel(3, iter([])).m == 0 and rel(3, {(2, 3)}).arcs() == [(2, 3)]
 
+    def test_cell_codes_fit_int64(self):
+        big = 3037000499  # the largest n with n^2 <= 2^63 - 1
+        r = rel(big, [(big, big), (big, 1)])
+        assert r.arcs() == [(big, 1), (big, big)] and r.has_arc(big, 1)
+        for n in (big + 1, 2**32):
+            with pytest.raises(ValueError, match=f"^{n} vertices exceeds {big}, "):
+                rel(n, [(n, 1)])
+            with pytest.raises(ValueError, match=f"^{n} vertices exceeds {big}, "):
+                Relation.empty(n)
+
     @given(relations())
     def test_arc_round_trip(self, r):
         assert Relation.from_arcs(r.n, r.arcs()) == r
@@ -298,6 +308,8 @@ class TestEdgeListFastPath:
         ("3 1\n1 2 3\n", False),
         ("3 2\n1 2 2 3\n", False),  # two arcs on one line
         ("3 1 1 2\n", False),
+        ("3 1 7\n1 2\n", False),  # a header of three tokens
+        ("3 1\n" + "0" * 18 + "1 2\n", False),  # a zero-padded 19-digit endpoint
         ("3 1\n1 2\n2\n", False),
         ("", False),
         ("3\n", False),
@@ -324,7 +336,8 @@ def matrix_texts(draw):
     for _ in range(draw(st.integers(0, 2))):
         i = draw(st.integers(0, n - 1))
         rows[i] = draw(st.text(alphabet=MATRIX_CHARS, min_size=n - 1, max_size=n + 1))
-    rows += draw(st.lists(st.sampled_from(["", "  "]), max_size=2))
+    blank = st.lists(st.sampled_from(["", "  "]), max_size=2)
+    rows = draw(blank) + rows + draw(blank)
     breaks = draw(st.lists(LINE_BREAKS, min_size=len(rows), max_size=len(rows)))
     text = "".join(row + brk for row, brk in zip(rows, breaks))
     return text[:-1] if draw(st.booleans()) else text
@@ -339,6 +352,8 @@ class TestMatrixParsing:
     @example("0\u00e9\n00\n")
     @example("")
     @example("\n \n")
+    @example("\n\n01\n00\n")
+    @example(" \n01\n0\n")
     def test_matches_row_loop(self, text):
         assert parse_outcome(parse_matrix, text) == parse_outcome(oracle_parse_matrix, text)
 
@@ -379,6 +394,11 @@ class TestMatrixParsing:
     def test_bad_character(self):
         with pytest.raises(ParseError, match="characters"):
             parse_matrix("02\n00\n")
+
+    def test_leading_blank_lines(self):
+        assert parse_relation("\n \n01\n00\n") == (parse_matrix("01\n00\n"), "matrix")
+        with pytest.raises(ParseError, match="line 4: row has 1 characters"):
+            parse_matrix("\n \n01\n0\n")
 
 
 class TestSerialization:
