@@ -282,9 +282,9 @@ def _parse_edge_list_fast(text: str) -> Relation | None:
     18 digits on every non-blank line, a header ``n`` within the budget and
     every arc endpoint in ``1..n``: exactly the texts the line loop accepts
     without a comment, a sign, an underscore, a non-ASCII digit, any other line
-    break or a 19-digit token.  Such a text is whitespace-separated integers
-    only, so ``np.fromstring`` reads every byte of it, and every token fits
-    int64.
+    break or a token of more than 18 digits.  Such a text is
+    whitespace-separated integers only, so ``np.fromstring`` reads every byte
+    of it, and every token fits int64.
     """
     if not text.isascii():
         return None
@@ -359,12 +359,13 @@ def parse_matrix(text: str) -> Relation:
     skipped = 0
     while skipped < len(lines) and not lines[skipped].strip():
         skipped += 1
-    if skipped == len(lines):
+    rows = lines[skipped:]
+    if not rows:
         raise ParseError("empty document")
-    n = len(lines) - skipped
+    n = len(rows)
     _require_dense_budget(n)
     adj = np.zeros((n, n), dtype=bool)
-    for i, line in enumerate(lines[skipped:]):
+    for i, line in enumerate(rows):
         lineno = skipped + i + 1
         if len(line) != n:
             raise ParseError(f"row has {len(line)} characters, expected {n}", lineno)

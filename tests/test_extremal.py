@@ -310,8 +310,7 @@ class TestBalanceExperiment:
         assert a == b
 
     def test_budget_before_the_matrix(self):
-        # The orientation's matrix would be 24 MiB; neither it nor the
-        # triangle search's masks are built.
+        # The orientation's matrix would take 24 MiB.
         g = random_triangle_free_graph(5000, 10, 0)
         tracemalloc.start()
         try:
