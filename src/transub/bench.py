@@ -15,7 +15,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .maximal import maximal_transitive_v1, maximal_transitive_v2
-from .relation import Relation, _require_dense_budget
+from .relation import Relation, _require_dense_budget, _vertex_count
 
 SPARSE_MODE = "sparse"
 DENSE_MODE = "dense"
@@ -58,6 +58,7 @@ def arc_count_for(n: int, density: str) -> int:
 
 def random_relation(n: int, m: int, seed: int) -> Relation:
     """Loop-free digraph with m distinct arcs sampled without replacement."""
+    n = _vertex_count(n)
     if n < 1:
         raise ValueError(f"vertex count must be at least 1, got {n}")
     if m > n * (n - 1):

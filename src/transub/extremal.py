@@ -25,7 +25,7 @@ import numpy as np
 
 from .errors import TriangleFoundError
 from .maximum import VertexPartition, _require_cut_budget, dicut_size, forward_cut_table
-from .relation import Relation, UndirectedGraph, find_triangle
+from .relation import Relation, UndirectedGraph, _vertex_count, find_triangle
 
 _MASK64 = (1 << 64) - 1
 _GOLDEN_GAMMA = 0x9E3779B97F4A7C15
@@ -157,6 +157,7 @@ def random_triangle_free_graph(n: int, m: int, seed: int) -> UndirectedGraph:
     """Random balanced bipartite graph on n vertices with m edges, which is
     triangle-free by construction.  Left part is {1..ceil(n/2)}; m distinct
     cross pairs are sampled without replacement from the seeded stream."""
+    n = _vertex_count(n)
     if n < 1:
         raise ValueError("vertex count must be at least 1")
     left = (n + 1) // 2

@@ -15,11 +15,11 @@ deleted afterwards, and the output is exactly the visited set.  The sweep of
 a visited arc ``(i, j)`` deletes two sets at once: ``succ(j) - succ(i)``
 (the row rule) and ``pred(i) - pred(j)`` (the column rule).  v1 applies them
 as two in-place masks on a copy of the matrix.  v2 extracts each row once;
-traced, and untraced on a sparse relation, it sweeps successor and
-predecessor sets, in O(n + nm) time and O(n + m) memory.  A traced run of
-either route records the two sets, in sweep order, before applying them.
-Untraced v2 on a dense relation applies the masks of all arcs of row ``i``
-at once, since they commute: the rows of the successors of ``i`` are cut to
+traced, it sweeps successor and predecessor sets, in O(n + nm) time and
+O(n + m) memory.  A traced run of either route records the two sets, in sweep
+order, before applying them.  Untraced v2 runs that set sweep or, as
+``relation._route`` picks, applies the masks of all arcs of row ``i`` at
+once, since they commute: the rows of the successors of ``i`` are cut to
 row ``i``, and a predecessor ``k`` keeps ``(k, i)`` only if row ``k`` holds
 row ``i``.  It runs on the n^2 / 8 bytes of packed rows of
 ``relation._packed_rows``, in O(n^2 + (sum over i of |succ(i)| +
@@ -45,9 +45,9 @@ from .relation import (
     Arc,
     Relation,
     _column,
-    _is_sparse,
     _members,
     _packed_rows,
+    _route,
     _unpacked,
     is_subrelation,
     is_transitive,
@@ -91,8 +91,9 @@ def _cell_scan(r: Relation,
     n = adj.shape[0]
     for i in range(n):
         row = adj[i]
+        cells = row.tolist()  # probed as Python bools; row i does not change below
         for j in range(n):
-            if not row[j]:
+            if not cells[j]:
                 continue
             if sink is not None:
                 _record(i, j, np.flatnonzero(adj[j] & ~row).tolist(),
@@ -186,13 +187,13 @@ def maximal_transitive_v2(
     """Row-extraction route: same sweeps, but only present arcs are touched.
 
     Traced runs sweep successor and predecessor sets at every density and
-    build no matrix.  Untraced runs sweep those sets when the relation is
-    sparse (``relation._is_sparse``), and otherwise apply the sweeps of all
-    arcs of a row at once, on packed matrix rows.
+    build no matrix.  Untraced runs either sweep those sets or apply the
+    sweeps of all arcs of a row at once, on packed matrix rows, as
+    ``relation._route`` picks (``relation._ROUTE_COSTS``).
     """
     if collect_trace:
         return _traced(_set_run, r)
-    return (_set_run(r) if _is_sparse(r) else _row_run(r)), None
+    return (_set_run(r) if _route("maximal", r) == "arcs" else _row_run(r)), None
 
 
 def _require_transitive_sub(host: Relation, t: Relation) -> None:

@@ -6,8 +6,8 @@ budget 22 arcs) and ``brute_force_max_dicut`` scores every vertex bipartition
 through the forward cut table (at most 20 vertices), an int32 table built by
 subset doubling, one vertex at a time, with no float array and no matrix product.
 ``quarter_approx`` keeps the heavier direction of a greedy cut, taken on the
-adjacency matrix or, for sparse relations, on neighbour lists, and always
-returns a transitive arc set of size at least m/4.  The dicut counts
+adjacency matrix or on neighbour lists as ``relation._route`` picks, and
+always returns a transitive arc set of size at least m/4.  The dicut counts
 (``dicut_size``, ``forward_arcs``) and the local search run on the arcs and
 build no matrix.  All tie-breaks are deterministic, so results repeat bit for bit.
 """
@@ -25,7 +25,7 @@ from .relation import (
     UndirectedGraph,
     _composition_walks,
     _distinct,
-    _is_sparse,
+    _route,
     find_triangle,
     underlying_graph,
 )
@@ -162,10 +162,11 @@ def quarter_approx(r: Relation) -> Relation:
     go to the forward, U-to-V, direction).  The result lies within one
     direction of a cut, so it contains no directed path of length two.
 
-    Sparse relations (``relation._is_sparse``) run the greedy over lower
-    neighbour lists and keep the heavier direction by masking their arcs.
+    The greedy runs over lower neighbour lists, keeping the heavier direction
+    by masking the arcs, or on the matrix, as ``relation._route`` picks
+    (``relation._ROUTE_COSTS``).
     """
-    if _is_sparse(r):
+    if _route("quarter", r) == "arcs":
         return _quarter_by_arcs(r)
     u = _greedy_sides(r.adj | r.adj.T)
     forward = r.adj & np.outer(u, ~u)

@@ -9,18 +9,17 @@ and count toward the arc total ``m``.  All values are immutable once
 constructed; two threads that build the same missing view at once store equal
 arrays, so relations are safe to share across threads.
 
-Routes that have both a matrix and an arc form pick one from n and m alone,
-never from the view held: the untraced maximal v2 sweep and
-``quarter_approx`` run on the arcs when ``_DENSE_RATIO * m < n^2``.  The
-exception is ``is_subrelation``, which builds no matrix for two relations
-that hold none.
-Transitivity is checked by the cheaper of two routes: walking all W two-arc
-walks ``a->b->c`` (W = sum over b of indeg * outdeg, at most nm) in
-O(n + m + W log m) time, or testing that each matrix row, packed into 64-bit
-words, contains the rows of its successors, in O(n^2 + m * n / 64); the walks
-are taken when ``_WALK_COST * W < _ROW_COST * n + m * ceil(n / 64)``.  The
-same walk enumeration, ``_two_arc_walks``, yields the CNF and branch-and-bound
-constraints of ``_composition_walks``.  The closure, and the dense v2 sweep,
+Three operations have an arc route and a row route: ``is_transitive``, the
+untraced maximal v2 sweep and ``quarter_approx``.  ``_route`` picks the one
+that the cost table ``_ROUTE_COSTS`` prices lower from n, m, the number W of
+two-arc walks and the view held; outputs do not depend on the route.
+``is_subrelation`` keeps its own rule: it builds no matrix for two relations
+that hold none.  Transitivity walks all W two-arc walks ``a->b->c`` (W = sum
+over b of indeg * outdeg, at most nm) in O(n + m + W log m) time, or tests
+that each matrix row, packed into 64-bit words, contains the rows of its
+successors, in O(n^2 + m * n / 64).  The same walk enumeration,
+``_two_arc_walks``, yields the CNF and branch-and-bound constraints of
+``_composition_walks``.  The closure, and the dense v2 sweep,
 maximality check and extension of ``maximal``, run on the same packed rows
 (``_packed_rows``), whose set bits ``_members`` lists.
 """
@@ -48,26 +47,8 @@ MATRIX_FORMAT = "matrix"
 # n=4000 and 176 MiB at n=8000, about 31 MiB of it interpreter.
 DENSE_VERTEX_BUDGET = 10000
 
-# Untraced maximal v2 and ``quarter_approx`` run on the arcs when
-# _DENSE_RATIO * m < n^2.
-# On the VM of ``_WALK_COST``, for random loop-free relations with m = n^2 / k,
-# the v2 set sweep against the packed-row sweep took 27 / 13, 108 / 26 and
-# 470 / 37 ms at k=32 and n=1000 / 2000 / 4000, and 7 / 8, 61 / 16 and
-# 194 / 38 ms at k=64; the greedy over neighbour lists against the greedy on
-# the matrix in ``quarter_approx`` took 2 / 3, 7 / 8 and 34 / 131 ms at k=64,
-# and 4 / 5, 19 / 13 and 59 / 137 ms at k=32.  The set sweep builds no n^2
-# matrix, and the benchmark's ``maximal-verify`` input (k=75) sits near the
-# ratio, so it stays at 64.  The benchmark's other inputs lie far on either
-# side: k=4 (n=2000 matrix) and k=2000 (n=8000, m=4n).
-_DENSE_RATIO = 64
-
-
 # Largest n whose 0-based cell codes ``u * n + v``, up to n^2 - 1, fit int64.
 _CODED_VERTEX_LIMIT = 3037000499
-
-
-def _is_sparse(r: "Relation") -> bool:
-    return _DENSE_RATIO * r.m < r.n * r.n
 
 
 class Relation:
@@ -120,7 +101,8 @@ class Relation:
     def _arc_arrays(self) -> tuple[np.ndarray, np.ndarray]:
         """Read-only row-major 0-based ``(src, dst)`` index arrays of the arcs."""
         if self._src is None:
-            src, dst = np.nonzero(self._adj)
+            # 2-D ``np.nonzero`` took 18 ms at n=2000, m=8000, against 1.5 ms for this.
+            src, dst = np.divmod(np.flatnonzero(self._adj), self._n)
             self._src, self._dst = _frozen(src), _frozen(dst)
         return self._src, self._dst
 
@@ -148,7 +130,9 @@ class Relation:
         """Build a relation from 1-based arc pairs of integers; duplicates
         collapse.  ValueError for an item that is not a pair or an endpoint
         that is not an integer: floats and strings are not converted.
-        ValueError for more than ``_CODED_VERTEX_LIMIT`` vertices."""
+        ValueError for a vertex count that is not an integer or exceeds
+        ``_CODED_VERTEX_LIMIT``."""
+        n = _vertex_count(n)
         if n > _CODED_VERTEX_LIMIT:
             raise ValueError(
                 f"{n} vertices exceeds {_CODED_VERTEX_LIMIT}, the most whose cell codes fit int64"
@@ -197,6 +181,14 @@ class Relation:
         return f"Relation(n={self.n}, m={self.m})"
 
 
+def _vertex_count(n) -> int:
+    """``n`` as an int; ValueError unless it is an integer."""
+    try:
+        return operator.index(n)
+    except TypeError:
+        raise ValueError(f"vertex count must be an integer, got {n!r}") from None
+
+
 def _endpoints(u, v) -> tuple[int, int]:
     """``(u, v)`` as ints; ValueError unless both are integers."""
     try:
@@ -227,7 +219,7 @@ class UndirectedGraph:
     edges: frozenset[Arc]
 
     def __post_init__(self):
-        if self.n < 1:
+        if _vertex_count(self.n) < 1:
             raise ValueError("vertex count must be at least 1")
         for u, v in self.edges:
             _endpoints(u, v)
@@ -447,18 +439,54 @@ def serialize_relation(r: Relation, fmt: str) -> str:
 # Walks per chunk of ``_two_arc_walks``: keeps each index array of a chunk at 8 MiB.
 _WALK_CHUNK = 1 << 20
 
-# The walk route of ``is_transitive`` runs when
-# _WALK_COST * W < _ROW_COST * n + m * ceil(n / 64), W the number of two-arc
-# walks, and the packed-row route otherwise; both costs are in word ORs of the
-# row route.  On a 2-vCPU Xeon VM (2.1 GHz, numpy 2.4.6), on transitive
-# relations so that neither route stops early, a walk (a binary search among
-# the arc codes) cost 60-64 ns for W = 3e6-1.7e8 and up to 145 ns for W near m;
-# the row route cost 6-14 us per row with successors (n = 300-8000) plus
-# 1.5-3.9 ns per word.  For example, n=1000 with m=5.0e5 took 10.1 s by walks
-# and 0.035 s by rows, n=2000 with m=2.2e5 1.03 s and 0.037 s, and n=8000 with
-# m=1.0e4, W=7, 0.3 ms and 68 ms.
-_WALK_COST = 32
-_ROW_COST = 4096
+# The cost in ns of each route of the operations that have two, from n, m,
+# W (the two-arc walks) and the view held; ``_route`` takes the cheaper.
+#   arc route: per arc, per two-arc walk;
+#   row route: per row, per packed word (m * ceil(n / 64)), per matrix cell;
+# plus _VIEW_COST per cell when the relation lacks the route's view.
+# Measured once on a 2-vCPU Xeon VM (2.1 GHz, Python 3.11, numpy 2.4.6), in
+# process, medians of 3, both views held unless stated:
+# - transitive, on transitive inputs (total orders, one-way complete
+#   bipartite relations, disjoint cliques, closed random DAGs, n = 500-8000)
+#   so that neither route stops early: walks 40 ns per arc where W = 0
+#   (36 ms at n=2000, m=10^6) and 42 per walk (1.19 s for W = 2.1e7); rows
+#   1.3 us per row (7.5 ms at n=4000 with one arc), 2.3 ns per word (437 ms
+#   for 2.5e8 words) and 0.45 per cell, fitted to all 28 inputs.
+# - maximal: sets 490 ns per arc where W = 0 (518 ms at n=2000, m=10^6) and
+#   4-20 per walk on random inputs with n >= 2000, 8 their median; rows 10 us
+#   per row, 1.25 ns per word and 1.4 per cell, fitted to 23 inputs with
+#   n >= 1000.  W overstates the sweep where it empties sets early: a star
+#   with 2-cycles at n=4000 (W = 1.6e7) took 7 ms by sets and 33 by rows,
+#   and the table picks the rows.
+# - quarter: lists 130-185 ns per arc, and 165-185 at m = n^2/64, near where
+#   the routes cross; matrix 3 us per row and 3.85 ns per cell at n = 1000
+#   and 2000.  At n=4000 a cell costs 12.5 ns, so there the table picks the
+#   matrix for m between about n^2/35 and n^2/13, where the lists are up to
+#   1.4x faster.
+# - view: the arcs of a matrix (``np.flatnonzero``) 0.37-0.42 ns per cell at
+#   m = 4n, n = 2000-8000; the matrix of m = 4n arcs 0.1-0.3 ns per cell.
+_ROUTE_COSTS = {
+    "transitive": ((40, 42), (1300, 2.3, 0.45)),
+    "maximal": ((490, 8), (10_000, 1.25, 1.4)),
+    "quarter": ((170, 0), (3000, 0, 3.85)),
+}
+_VIEW_COST = 0.4
+
+
+def _route(op: str, r: Relation) -> str:
+    """``"arcs"`` or ``"rows"``: the route of ``op`` that ``_ROUTE_COSTS``
+    prices lower for ``r``.  W is counted only when it can change the choice."""
+    (per_arc, per_walk), (per_row, per_word, per_cell) = _ROUTE_COSTS[op]
+    n, m = r.n, r.m
+    arcs = per_arc * m
+    rows = per_row * n + per_word * m * -(-n // 64) + per_cell * n * n
+    if r._src is None:
+        arcs += _VIEW_COST * n * n
+    if r._adj is None:
+        rows += _VIEW_COST * n * n
+    if per_walk and arcs < rows:
+        arcs += per_walk * _walk_count(r)
+    return "arcs" if arcs < rows else "rows"
 
 
 def _walk_count(r: Relation) -> int:
@@ -547,16 +575,14 @@ def _transitive_by_rows(adj: np.ndarray) -> bool:
 def is_transitive(r: Relation) -> bool:
     """True iff for all a, b, c (repeats allowed): a->b and b->c imply a->c.
 
-    With W = sum over b of indeg(b) * outdeg(b) two-arc walks, a sparse
-    relation looks up the arc ``(a, c)`` of every walk among its arcs, in
-    O(n + m + W log m) time and O(n + m) extra memory.  A dense one packs its
-    matrix rows into 64-bit words and checks that each row contains the union
-    of the rows of its successors, in O(n^2 + m * n / 64) time and n^2 / 8
-    bytes.  The walks run when
-    ``_WALK_COST * W < _ROW_COST * n + m * ceil(n / 64)``, and either route
-    stops at the first violation.
+    The walk route looks up the arc ``(a, c)`` of every two-arc walk among
+    the arcs, in O(n + m + W log m) time and O(n + m) extra memory.  The row
+    route packs the matrix rows into 64-bit words and checks that each row
+    contains the union of the rows of its successors, in O(n^2 + m * n / 64)
+    time and n^2 / 8 bytes.  ``_route`` picks one (``_ROUTE_COSTS``), and
+    either stops at the first violation.
     """
-    if _WALK_COST * _walk_count(r) < _ROW_COST * r.n + r.m * -(-r.n // 64):
+    if _route("transitive", r) == "arcs":
         return _transitive_by_walks(r)
     return _transitive_by_rows(r.adj)
 

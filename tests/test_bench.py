@@ -33,6 +33,11 @@ class TestRandomRelation:
         with pytest.raises(ValueError, match=f"^vertex count must be at least 1, got {n}$"):
             random_relation(n, 0, 0)
 
+    @pytest.mark.parametrize("n", [4.0, 2.5, "4"])
+    def test_rejects_non_integer_vertex_counts(self, n):
+        with pytest.raises(ValueError, match="^vertex count must be an integer, got "):
+            random_relation(n, 2, 0)
+
     def test_one_vertex(self):
         assert random_relation(1, 0, 0) == Relation.empty(1)
 

@@ -244,6 +244,11 @@ class TestRandomTriangleFreeGraph:
         with pytest.raises(ValueError, match="^vertex count must be at least 1$"):
             random_triangle_free_graph(n, m, 0)
 
+    @pytest.mark.parametrize("n", [4.0, 2.5, "4"])
+    def test_rejects_non_integer_vertex_counts(self, n):
+        with pytest.raises(ValueError, match="^vertex count must be an integer, got "):
+            random_triangle_free_graph(n, 2, 0)
+
     def test_capacity_error(self):
         with pytest.raises(ValueError, match="capacity"):
             random_triangle_free_graph(4, 5, 0)

@@ -1,24 +1,43 @@
-"""Every fenced ``python`` block of README.md runs as written, and README's
-CLI tables list exactly what the CLI has."""
+"""Every fenced ``python`` block of README.md runs as written, README's CLI
+tables list exactly what the CLI has, and the constants it cites exist and
+hold the values it states."""
 
 import argparse
+import importlib
 import re
 from pathlib import Path
 
 import pytest
 
+import transub
 from transub import cli
 
 README_TEXT = (Path(__file__).resolve().parents[1] / "README.md").read_text(encoding="utf-8")
 BLOCKS = re.findall(r"^```python\n(.*?)^```", README_TEXT, re.M | re.S)
 
 
-def first_column(heading: str) -> list[str]:
-    """The first cell of each body row of the first table after ``heading``."""
+def table_rows(heading: str) -> list[list[str]]:
+    """The cells of each body row of the first table after ``heading``."""
     after = README_TEXT[README_TEXT.index(f"\n{heading}\n"):]
     table = re.search(r"^\|.*?(?=\n\n)", after, re.M | re.S).group(0)
     rows = table.splitlines()[2:]  # past the header and its rule
-    return [row.split("|")[1].strip() for row in rows]
+    return [[cell.strip() for cell in row.split("|")[1:-1]] for row in rows]
+
+
+def first_column(heading: str) -> list[str]:
+    return [row[0] for row in table_rows(heading)]
+
+
+def cited(name: str):
+    """The attribute a README citation names: ``module._NAME`` in a submodule
+    of ``transub``, a bare ``NAME`` in ``transub`` itself."""
+    module, _, attr = name.rpartition(".")
+    return getattr(importlib.import_module(f"transub.{module}") if module else transub, attr)
+
+
+# Backticked constants: ``NAME`` or ``module._NAME``, in capitals.
+CITED = sorted(set(re.findall(r"`((?:[a-z]+\.)?_?[A-Z][A-Z0-9]*_[A-Z0-9_]+)`", README_TEXT)))
+SUPERSCRIPTS = str.maketrans("⁰¹²³⁴⁵⁶⁷⁸⁹", "0123456789")
 
 
 def test_readme_has_python_blocks():
@@ -42,3 +61,21 @@ def test_exit_status_table_lists_every_exit_code():
     codes = sorted(value for name, value in vars(cli).items() if name.startswith("EXIT_"))
     assert codes == list(range(6))
     assert first_column("### Exit statuses") == [str(code) for code in codes]
+
+
+def test_cited_constants_exist():
+    assert {"relation._ROUTE_COSTS", "sat._WALK_BUDGET", "DENSE_VERTEX_BUDGET"} <= set(CITED)
+    for name in CITED:
+        cited(name)  # AttributeError names a constant README cites but the code lacks
+
+
+def test_budget_table_states_the_constants():
+    # Each row states a number, such as "22 arcs" or "10⁶ two-arc walks",
+    # and names the constant that holds it.
+    rows = table_rows("## Enumeration budgets")
+    assert len(rows) == 8
+    for routine, budget, parameter in rows:
+        base, power = re.match(r"(\d+)([⁰¹²³⁴⁵⁶⁷⁸⁹]*) ", budget).groups()
+        stated = int(base) ** int(power.translate(SUPERSCRIPTS)) if power else int(base)
+        (constant,) = re.findall(r"`([^`]+)`", parameter)
+        assert cited(constant) == stated, routine

@@ -86,6 +86,17 @@ class TestRelationType:
         with pytest.raises(ValueError, match="^arc endpoints must be 64-bit integers, got "):
             rel(3, arcs)
 
+    @pytest.mark.parametrize("n", [3.0, 2.5, "3", None])
+    def test_rejects_non_integer_vertex_counts(self, n):
+        with pytest.raises(ValueError, match="^vertex count must be an integer, got "):
+            Relation.from_arcs(n, [(1, 2)])
+        with pytest.raises(ValueError, match="^vertex count must be an integer, got "):
+            Relation.empty(n)
+
+    def test_takes_numpy_integer_vertex_counts(self):
+        r = Relation.from_arcs(np.int64(3), [(1, 2)])
+        assert type(r.n) is int and r.adj.shape == (3, 3)
+
     @pytest.mark.parametrize("arcs", [[(1, 2, 3), (1, 2, 3)], [1, 2, 2, 3], [(1,)], [[]],
                                       [[(1, 2)]]])
     def test_rejects_items_that_are_not_pairs(self, arcs):
@@ -652,6 +663,62 @@ class TestTransitivityByRows:
         assert [relation._transitive_by_rows(a) for a in cases] == expected
 
 
+class TestRouteTable:
+    """``relation._route`` near the crossovers of the route-cost table: each
+    input is pinned to the route measured faster on it, in process, medians
+    of 5, with a fresh relation per run so that building a missing view
+    counts.  Times are v2 sets / rows and quarter lists / matrix, in ms."""
+
+    @staticmethod
+    def random(n, m, seed):
+        cells = np.random.default_rng(seed).choice(n * (n - 1), size=m, replace=False)
+        src, dst = np.divmod(cells, n - 1)
+        return Relation.from_arcs(n, np.column_stack([src + 1, dst + 1 + (dst >= src)]))
+
+    @staticmethod
+    def both_views(r):
+        r.adj, r._arc_arrays()
+        return r
+
+    @staticmethod
+    def routes(r):
+        held = r._adj is not None, r._src is not None
+        picked = relation._route("maximal", r), relation._route("quarter", r)
+        assert (r._adj is not None, r._src is not None) == held  # no view was built
+        return picked
+
+    def test_random_arc_held_with_many_walks(self):
+        # n=4000, m=n^2/128, W=3.9e6: 99-140 / 41-42 and 15-17 / 180-200
+        r = self.random(4000, 4000 * 4000 // 128, seed=1)
+        assert r._adj is None and self.routes(r) == ("rows", "arcs")
+
+    def test_star_with_two_cycles(self):
+        # n=2000, m=3998, W=4.0e6, both views held: 12.7 / 6.8-10.3 and 1.2-2.0 / 15-17
+        leaves = np.arange(2, 2001)
+        hub = np.ones_like(leaves)
+        r = self.both_views(Relation.from_arcs(2000, np.column_stack([
+            np.concatenate([hub, leaves]), np.concatenate([leaves, hub])])))
+        assert self.routes(r) == ("rows", "arcs")
+
+    def test_one_way_complete_bipartite(self):
+        # 1000 -> 1000, m=10^6, W=0, both views held: 346-465 / 86-118 and
+        # 94-126 / 15-22; is_transitive by walks 26-33, by rows 62-72
+        side = np.arange(2000) < 1000
+        r = self.both_views(Relation(np.outer(side, ~side)))
+        assert self.routes(r) == ("rows", "rows")
+        assert relation._route("transitive", r) == "arcs"
+
+    def test_random_matrix_held_dense(self):
+        # n=2000, m=n^2/32: 75-113 / 16-27 and 19-25 / 15-21
+        r = Relation(self.random(2000, 2000 * 2000 // 32, seed=4).adj)
+        assert r._src is None and self.routes(r) == ("rows", "rows")
+
+    def test_random_matrix_held_sparse(self):
+        # n=4000, m=4n: 20-27 / 83-90 and 11-12 / 194-195
+        r = Relation(self.random(4000, 4 * 4000, seed=5).adj)
+        assert r._src is None and self.routes(r) == ("arcs", "arcs")
+
+
 class TestPackedRows:
     @pytest.mark.parametrize("n", [1, 63, 64, 65, 129])
     def test_column_j_is_bit_j_mod_64_of_word_j_div_64(self, n):
@@ -825,6 +892,13 @@ class TestTriangleFree:
     def test_rejects_items_that_are_not_pairs(self, edges):
         with pytest.raises(ValueError, match=r"^edges must be \(u, v\) pairs, got "):
             UndirectedGraph.from_edges(3, edges)
+
+    @pytest.mark.parametrize("n", [2.5, 3.0, "3"])
+    def test_rejects_non_integer_vertex_counts(self, n):
+        with pytest.raises(ValueError, match="^vertex count must be an integer, got "):
+            UndirectedGraph(n, frozenset())
+        with pytest.raises(ValueError, match="^vertex count must be an integer, got "):
+            UndirectedGraph.from_edges(n, [(1, 2)])
 
 
 class TestPathLengthTwo:

@@ -76,8 +76,7 @@ def test_dense_matrix_runs_on_the_rows(monkeypatch):
 
 @pytest.mark.parametrize("n", [300, 2000])
 def test_small_exact_edge_lists_take_the_set_sweep(monkeypatch, n):
-    # maximal-verify (n=300) and maximal-v2 (n=2000), m=4n.  At n=300,
-    # n^2 / m = 75 lies just above relation._DENSE_RATIO = 64.
+    # maximal-verify (n=300) and maximal-v2 (n=2000), m=4n.
     r = arc_held(n, 4 * n, seed=n)
     forbid(monkeypatch, maximal, "_row_run", "_cell_scan")
     maximal_transitive_v2(r, collect_trace=False)
