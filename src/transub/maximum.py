@@ -156,6 +156,15 @@ def _quarter_by_arcs(r: Relation) -> Relation:
     return Relation._from_arc_arrays(n, src[keep], dst[keep])
 
 
+def _quarter_by_matrix(r: Relation) -> Relation:
+    # ``quarter_approx`` on the matrix: the greedy cut over the rows of the
+    # symmetric matrix, then the heavier direction kept by masking the cells.
+    u = _greedy_sides(r.adj | r.adj.T)
+    forward = r.adj & np.outer(u, ~u)
+    backward = r.adj & np.outer(~u, u)
+    return Relation._from_matrix(forward if forward.sum() >= backward.sum() else backward)
+
+
 def quarter_approx(r: Relation) -> Relation:
     """Transitive subgraph of size >= m/4: greedily bipartition the underlying
     graph, then keep every arc of the heavier direction across the cut (ties
@@ -168,10 +177,7 @@ def quarter_approx(r: Relation) -> Relation:
     """
     if _route("quarter", r) == "arcs":
         return _quarter_by_arcs(r)
-    u = _greedy_sides(r.adj | r.adj.T)
-    forward = r.adj & np.outer(u, ~u)
-    backward = r.adj & np.outer(~u, u)
-    return Relation._from_matrix(forward if forward.sum() >= backward.sum() else backward)
+    return _quarter_by_matrix(r)
 
 
 # ---------------------------------------------------------------------------

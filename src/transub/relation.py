@@ -441,51 +441,47 @@ _WALK_CHUNK = 1 << 20
 
 # The cost in ns of each route of the operations that have two, from n, m,
 # W (the two-arc walks) and the view held; ``_route`` takes the cheaper.
-#   arc route: per arc, per two-arc walk;
-#   row route: per row, per packed word (m * ceil(n / 64)), per matrix cell;
-# plus _VIEW_COST per cell when the relation lacks the route's view.
+# Per term: "arc" and "walk" price the arc route, "row", "word" (m * ceil(n /
+# 64) packed words) and "cell" the row route, and an op omits a term that
+# does not decide its choice; a missing view adds _VIEW_COST per cell.
 # Measured once on a 2-vCPU Xeon VM (2.1 GHz, Python 3.11, numpy 2.4.6), in
-# process, medians of 3, both views held unless stated:
-# - transitive, on transitive inputs (total orders, one-way complete
-#   bipartite relations, disjoint cliques, closed random DAGs, n = 500-8000)
-#   so that neither route stops early: walks 40 ns per arc where W = 0
-#   (36 ms at n=2000, m=10^6) and 42 per walk (1.19 s for W = 2.1e7); rows
-#   1.3 us per row (7.5 ms at n=4000 with one arc), 2.3 ns per word (437 ms
-#   for 2.5e8 words) and 0.45 per cell, fitted to all 28 inputs.
-# - maximal: sets 490 ns per arc where W = 0 (518 ms at n=2000, m=10^6) and
-#   4-20 per walk on random inputs with n >= 2000, 8 their median; rows 10 us
-#   per row, 1.25 ns per word and 1.4 per cell, fitted to 23 inputs with
-#   n >= 1000.  W overstates the sweep where it empties sets early: a star
-#   with 2-cycles at n=4000 (W = 1.6e7) took 7 ms by sets and 33 by rows,
-#   and the table picks the rows.
-# - quarter: lists 130-185 ns per arc, and 165-185 at m = n^2/64, near where
-#   the routes cross; matrix 3 us per row and 3.85 ns per cell at n = 1000
-#   and 2000.  At n=4000 a cell costs 12.5 ns, so there the table picks the
-#   matrix for m between about n^2/35 and n^2/13, where the lists are up to
-#   1.4x faster.
-# - view: the arcs of a matrix (``np.flatnonzero``) 0.37-0.42 ns per cell at
-#   m = 4n, n = 2000-8000; the matrix of m = 4n arcs 0.1-0.3 ns per cell.
+# process, medians of 3, both views held:
+# - transitive, fitted to 28 transitive inputs (orders, one-way complete
+#   bipartite relations, cliques, closed DAGs; n = 500-8000), on which
+#   neither route stops early: 36 ms at n=2000, m=10^6, W=0 by walks;
+#   1.19 s for W = 2.1e7; 437 ms by rows for 2.5e8 words.
+# - maximal, fitted to 23 inputs with n >= 1000: 518 ms by sets at n=2000,
+#   m=10^6, W=0; 4-20 ns per walk on random inputs, 8 their median.  W
+#   overstates the sweep where sets empty early, as on a star with 2-cycles.
+# - quarter, at n = 1000 and 2000: lists 130-185 ns per arc; the matrix
+#   3.85 ns per cell, but 12.5 at n=4000.  ROADMAP.md lists the misroutes.
+# - view: the arcs of a matrix 0.37-0.42 ns per cell, at m = 4n.
 _ROUTE_COSTS = {
-    "transitive": ((40, 42), (1300, 2.3, 0.45)),
-    "maximal": ((490, 8), (10_000, 1.25, 1.4)),
-    "quarter": ((170, 0), (3000, 0, 3.85)),
+    "transitive": ({"arc": 40, "walk": 42}, {"row": 1300, "word": 2.3, "cell": 0.45}),
+    "maximal": ({"arc": 490, "walk": 8}, {"row": 10_000, "word": 1.25, "cell": 1.4}),
+    "quarter": ({"arc": 170}, {"row": 3000, "cell": 3.85}),
 }
 _VIEW_COST = 0.4
 
 
 def _route(op: str, r: Relation) -> str:
     """``"arcs"`` or ``"rows"``: the route of ``op`` that ``_ROUTE_COSTS``
-    prices lower for ``r``.  W is counted only when it can change the choice."""
-    (per_arc, per_walk), (per_row, per_word, per_cell) = _ROUTE_COSTS[op]
+    prices lower for ``r``.  W is counted only when it can change the choice;
+    a matrix-held ``r`` then gets its arc view if that is no larger than the
+    matrix, as counting degrees from the view is cheaper.  No matrix is built."""
+    arc_cost, row_cost = _ROUTE_COSTS[op]
     n, m = r.n, r.m
-    arcs = per_arc * m
-    rows = per_row * n + per_word * m * -(-n // 64) + per_cell * n * n
+    arcs = arc_cost["arc"] * m
+    words = m * -(-n // 64)
+    rows = row_cost["row"] * n + row_cost.get("word", 0) * words + row_cost["cell"] * n * n
     if r._src is None:
         arcs += _VIEW_COST * n * n
     if r._adj is None:
         rows += _VIEW_COST * n * n
-    if per_walk and arcs < rows:
-        arcs += per_walk * _walk_count(r)
+    if "walk" in arc_cost and arcs < rows:
+        if 16 * m <= n * n:  # two int64 arrays against one byte per cell
+            r._arc_arrays()
+        arcs += arc_cost["walk"] * _walk_count(r)
     return "arcs" if arcs < rows else "rows"
 
 

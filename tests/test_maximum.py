@@ -202,6 +202,18 @@ class TestQuarterApprox:
         assert r._adj is None and out._adj is None  # no matrix was built
         assert out.arcs() == oracle_quarter_approx(r).arcs()
 
+    def test_matrix_route_all_relations_on_three_vertices(self, suite_n3_loops):
+        for r in suite_n3_loops:
+            assert maximum._quarter_by_matrix(r).arcs() == oracle_quarter_approx(r).arcs(), r.arcs()
+
+    @settings(max_examples=120)
+    @given(relations(max_n=12))
+    @example(rel(3, [(1, 1), (1, 2), (2, 1), (2, 3), (3, 2), (3, 3)]))
+    @example(rel(3, [(2, 1), (2, 2), (3, 1)]))  # the backward direction is heavier
+    def test_matrix_route_matches_oracle(self, r):
+        # small inputs take the arc route, so this is the matrix route's oracle test
+        assert maximum._quarter_by_matrix(r).arcs() == oracle_quarter_approx(r).arcs()
+
     def test_sparse_input_takes_the_arc_route(self, monkeypatch):
         def no_matrix(sym):
             raise AssertionError("matrix greedy on a sparse input")

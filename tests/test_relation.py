@@ -682,9 +682,9 @@ class TestRouteTable:
 
     @staticmethod
     def routes(r):
-        held = r._adj is not None, r._src is not None
+        held = r._adj is not None
         picked = relation._route("maximal", r), relation._route("quarter", r)
-        assert (r._adj is not None, r._src is not None) == held  # no view was built
+        assert (r._adj is not None) == held  # no matrix was built
         return picked
 
     def test_random_arc_held_with_many_walks(self):
@@ -717,6 +717,15 @@ class TestRouteTable:
         # n=4000, m=4n: 20-27 / 83-90 and 11-12 / 194-195
         r = Relation(self.random(4000, 4 * 4000, seed=5).adj)
         assert r._src is None and self.routes(r) == ("arcs", "arcs")
+        assert r._src is not None  # W was counted on the arc view, which the sets read
+
+    def test_walks_of_a_dense_matrix_are_counted_without_an_arc_view(self):
+        # The benchmark's n=2000, m=n^2/4 matrix: is_transitive's arc route is
+        # priced lower before its walks are counted, and an arc view would
+        # take 16 bytes per arc against the matrix's one byte per cell.
+        r = Relation(self.random(2000, 2000 * 2000 // 4, seed=6).adj)
+        assert relation._route("transitive", r) == "rows"
+        assert r._src is None
 
 
 class TestPackedRows:
