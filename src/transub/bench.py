@@ -14,7 +14,6 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .maximal import maximal_transitive_v1, maximal_transitive_v2
 from .relation import Relation, _require_dense_budget, _vertex_count
 
 SPARSE_MODE = "sparse"
@@ -83,6 +82,8 @@ def _timed(fn, *args, **kwargs):
 
 def run_scaling(config: BenchConfig) -> list[BenchRow]:
     """Time both routes on identical seeded inputs, one fresh copy per run."""
+    from .maximal import maximal_transitive_v1, maximal_transitive_v2
+
     rows = []
     for n in config.sizes:
         m = arc_count_for(n, config.density)

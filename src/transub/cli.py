@@ -23,21 +23,11 @@ import sys
 from dataclasses import asdict, dataclass
 from pathlib import Path
 
-from .bench import BenchConfig, _timed, doubling_ratios, run_scaling
+# Each handler imports the solvers of its subcommand when it runs, so a
+# process loads only the layers it runs, and a patched attribute of a layer
+# module is what it calls.  The imports precede the ``_timed`` call, which
+# then times the solve alone.
 from .errors import BudgetError, ParseError, PreconditionError
-from .extremal import (
-    run_balance_experiment,
-    random_triangle_free_graph,
-    summarize_balance_experiment,
-)
-from .maximal import is_maximal_transitive, maximal_transitive_v1, maximal_transitive_v2
-from .maximum import (
-    brute_force_max_dicut,
-    brute_force_mts,
-    forward_arcs,
-    local_search_dicut,
-    quarter_approx,
-)
 from .relation import (
     EDGE_LIST_FORMAT,
     Relation,
@@ -48,7 +38,6 @@ from .relation import (
     serialize_relation,
     transitive_closure,
 )
-from .sat import cnf_to_dimacs, encode_mts_to_cnf
 
 EXIT_OK = 0
 EXIT_CHECK_FAILED = 1
@@ -140,6 +129,8 @@ def _maximality_verdicts(host: Relation, t: Relation) -> tuple[bool, bool, bool]
     """(contained, transitive, maximal) of ``t`` in ``host``.  The maximality
     check tests containment and transitivity first, so the two separate
     verdicts are computed only when it rejects its precondition."""
+    from .maximal import is_maximal_transitive
+
     try:
         return True, True, is_maximal_transitive(host, t)
     except PreconditionError:
@@ -147,6 +138,9 @@ def _maximality_verdicts(host: Relation, t: Relation) -> tuple[bool, bool, bool]
 
 
 def cmd_maximal(args) -> int:
+    from .bench import _timed
+    from .maximal import maximal_transitive_v1, maximal_transitive_v2
+
     r, fmt = _load_relation(args)
     algorithm = maximal_transitive_v1 if args.algorithm == "v1" else maximal_transitive_v2
     (result, _), wall = _timed(algorithm, r, collect_trace=False)
@@ -157,21 +151,30 @@ def cmd_maximal(args) -> int:
     return _finish(args, r, fmt, result, checks, wall)
 
 
-def _maximum_result(r: Relation, args) -> Relation:
+def _maximum_solver(args):
+    """The solve of ``maximum --mode``, a function of the relation."""
+    from .maximum import (
+        brute_force_max_dicut,
+        brute_force_mts,
+        forward_arcs,
+        local_search_dicut,
+        quarter_approx,
+    )
+
     if args.mode == "exact":
-        return brute_force_mts(r)
+        return brute_force_mts
     if args.mode == "quarter":
-        return quarter_approx(r)
+        return quarter_approx
     if args.mode == "dicut-exact":
-        cut = brute_force_max_dicut(r)
-    else:  # dicut-local
-        cut = local_search_dicut(r, args.seed, args.max_rounds)
-    return forward_arcs(r, cut.partition)
+        return lambda r: forward_arcs(r, brute_force_max_dicut(r).partition)
+    return lambda r: forward_arcs(r, local_search_dicut(r, args.seed, args.max_rounds).partition)
 
 
 def cmd_maximum(args) -> int:
+    from .bench import _timed
+
     r, fmt = _load_relation(args)
-    result, wall = _timed(_maximum_result, r, args)
+    result, wall = _timed(_maximum_solver(args), r)
     checks = [("size_ge_quarter", 4 * result.m >= r.m)] if args.mode == "quarter" else []
     if args.verify:
         checks += [("transitive", is_transitive(result)), ("contained", is_subrelation(result, r))]
@@ -179,6 +182,8 @@ def cmd_maximum(args) -> int:
 
 
 def cmd_closure(args) -> int:
+    from .bench import _timed
+
     r, fmt = _load_relation(args)
     result, wall = _timed(transitive_closure, r)
     if fmt == EDGE_LIST_FORMAT and result.m > _CLOSURE_ARC_BUDGET:
@@ -198,6 +203,10 @@ def _check_verdicts(r: Relation, sub_path: str | None) -> tuple[list[tuple[str, 
 
 
 def cmd_check(args) -> int:
+    from .bench import _timed
+
+    if args.sub:
+        from . import maximal  # loaded before the clock of ``_maximality_verdicts``
     r, _ = _load_relation(args)
     (checks, size), wall = _timed(_check_verdicts, r, args.sub)
     _emit_report(RunReport("check", r.n, r.m, size, checks, wall), args.json)
@@ -207,12 +216,20 @@ def cmd_check(args) -> int:
 
 
 def cmd_encode(args) -> int:
+    from .sat import cnf_to_dimacs, encode_mts_to_cnf
+
     r, _ = _load_relation(args)
     _write_text(args.output, cnf_to_dimacs(encode_mts_to_cnf(r)))
     return EXIT_OK
 
 
 def cmd_experiment(args) -> int:
+    from .extremal import (
+        random_triangle_free_graph,
+        run_balance_experiment,
+        summarize_balance_experiment,
+    )
+
     graph = random_triangle_free_graph(args.n, args.m, args.seed)
     k = args.k if args.k is not None else max(1, -(-args.m // 4))
     reports = run_balance_experiment(graph, args.trials, k, args.delta, args.seed, args.cprime)
@@ -234,6 +251,8 @@ def cmd_experiment(args) -> int:
 
 
 def cmd_bench(args) -> int:
+    from .bench import BenchConfig, doubling_ratios, run_scaling
+
     sizes = tuple(int(tok) for tok in args.sizes.split(","))
     config = BenchConfig(
         sizes=sizes, density=args.density, repetitions=args.repetitions, seed=args.seed

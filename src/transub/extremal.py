@@ -110,17 +110,22 @@ def check_delta_balanced(r: Relation, p: VertexPartition, delta: float) -> Balan
     return balance_verdict(d.forward, d.backward, delta)
 
 
-# Masks scanned at once by ``_balanced_fraction``: 32 KiB per int32 temporary.
-_SCAN_BLOCK = 1 << 13
+# Masks scanned at once by ``_balanced_fraction``: 128 KiB per int16
+# temporary, 512 KiB for the float64 bound.
+_SCAN_BLOCK = 1 << 16
 
 
 def _balanced_fraction(adj: np.ndarray, k: int, delta: float) -> float:
     """Fraction of the cuts of total size >= k that are delta-balanced, 1.0
     when there is none; one representative per unordered bipartition (the
-    side masks with vertex 1 in U).  The two tables are scanned in blocks of
-    ``_SCAN_BLOCK`` masks, so no temporary spans a whole table."""
-    forward = forward_cut_table(adj)[1::2]
-    backward = forward_cut_table(adj.T)[1::2]
+    side masks with vertex 1 in U).  The two halves are scanned in blocks of
+    ``_SCAN_BLOCK`` masks, so no temporary spans a whole half."""
+    # Each half is copied out as int16 and its int32 table freed before the
+    # next is built, so at most one table is alive.  int16 is exact: a cut
+    # (U, V) has at most |U| * |V| <= 100 arcs each way within the 20-vertex
+    # limit, so a total is at most 200.
+    forward = forward_cut_table(adj)[1::2].astype(np.int16)
+    backward = forward_cut_table(adj.T)[1::2].astype(np.int16)
     count = balanced = 0
     for start in range(0, len(forward), _SCAN_BLOCK):
         block = slice(start, start + _SCAN_BLOCK)

@@ -159,7 +159,10 @@ def _set_run(r: Relation,
                 for k in row_gone:
                     pred[k].discard(j)
             if col_gone:
-                pred_i -= col_gone
+                # A new set, stored back so that the row rule's discards reach
+                # it: one emptied in place by ``-=`` kept its large table, and
+                # differencing it took ~10 us at n=2000.
+                pred[i] = pred_i = pred_i - col_gone
                 for k in col_gone:
                     succ[k].discard(i)
     counts = [len(s) for s in succ]
@@ -228,6 +231,8 @@ def _grow(host: Relation, t: Relation) -> np.ndarray:
         # ``escape`` holds ``miss[u]``, so its clear bits are host arcs; v lies
         # in B(v), and an arc already in the set would add nothing.
         cand = _members(~(escape | rows[u]), n)
+        if not len(cand):
+            continue
         fit = cand[~(rows[cand] & escape).any(axis=1)]
         if len(fit):
             block = np.bitwise_or.reduce(rows[fit], axis=0)

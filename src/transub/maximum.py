@@ -264,7 +264,8 @@ def forward_cut_table(adj: np.ndarray) -> np.ndarray:
     np.fill_diagonal(a, 0)
     w = a + a.T
     out = a.sum(axis=1)
-    table = np.zeros(1 << n, dtype=np.int32)
+    table = np.empty(1 << n, dtype=np.int32)
+    table[0] = 0  # the doubling writes every other entry
     for v in range(n):
         size = 1 << v
         half = table[size : 2 * size]

@@ -26,6 +26,7 @@ maximality check and extension of ``maximal``, run on the same packed rows
 
 from __future__ import annotations
 
+import math
 import operator
 import re
 from dataclasses import dataclass
@@ -345,6 +346,32 @@ def _require_dense_budget(n: int) -> None:
 def parse_matrix(text: str) -> Relation:
     """The 0/1 matrix document; blank lines before the first row and after
     the last are dropped, and row errors carry document line numbers."""
+    r = _parse_matrix_fast(text)
+    return r if r is not None else _parse_matrix_lines(text)
+
+
+def _parse_matrix_fast(text: str) -> Relation | None:
+    """The relation of a canonical matrix document, read from one buffer;
+    None for any other text, which ``_parse_matrix_lines`` then parses or
+    rejects.
+
+    Canonical means n rows of n characters from {0, 1} within the budget,
+    each ending in ``\\n``, and nothing else: the length is n * (n + 1), and
+    the text viewed as n rows of n + 1 bytes has ``\\n`` in its last column
+    and 0s and 1s in every other.
+    """
+    n = (math.isqrt(4 * len(text) + 1) - 1) // 2
+    if not 1 <= n <= DENSE_VERTEX_BUDGET or n * (n + 1) != len(text) or not text.isascii():
+        return None
+    grid = np.frombuffer(text.encode("ascii"), dtype=np.uint8).reshape(n, n + 1)
+    cells = grid[:, :n]
+    # The two reductions allocate nothing, unlike an elementwise test.
+    if not (np.all(grid[:, n] == ord("\n")) and cells.min() >= ord("0") and cells.max() <= ord("1")):
+        return None
+    return Relation._from_matrix(cells == ord("1"))
+
+
+def _parse_matrix_lines(text: str) -> Relation:
     lines = text.splitlines()
     while lines and not lines[-1].strip():
         lines.pop()

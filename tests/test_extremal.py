@@ -2,6 +2,7 @@ import math
 import random
 import tracemalloc
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -194,9 +195,24 @@ class TestKDeltaBalanced:
     @settings(max_examples=5, deadline=None)
     @given(data=st.data())
     def test_blocked_scan_over_many_default_blocks(self, data):
-        # n = 15 to 20: 2 to 64 blocks of the default size; few arcs keep the
+        # n = 18 to 20: 2 to 8 blocks of the default size; few arcs keep the
         # oracle's Python loop over 2^n masks short.
-        self._check_blocked_scan(data, extremal._SCAN_BLOCK, st.integers(15, 20), max_arcs=4)
+        self._check_blocked_scan(data, extremal._SCAN_BLOCK, st.integers(18, 20), max_arcs=4)
+
+    def test_one_cut_table_alive_at_a_time(self):
+        # At n=20 a cut table is 4 MiB of int32.  Each half is copied out as
+        # int16 before the next table is built, so the scan stays below two
+        # tables; holding both came to 8.2 MiB.
+        adj = np.random.default_rng(20).random((20, 20)) < 0.3
+        extremal._balanced_fraction(rel(2, []).adj, 0, 0.5)  # first-use costs outside the window
+        tracemalloc.start()
+        try:
+            fraction = extremal._balanced_fraction(adj, 25, 0.5)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert 0 < fraction < 1
+        assert peak < 2 * 4 * 2**20, f"{peak / 2**20:.1f} MiB"
 
     @staticmethod
     def _check_blocked_scan(data, block, sizes, max_arcs):

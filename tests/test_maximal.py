@@ -253,6 +253,18 @@ class TestTracedSetRoute:
         r = Relation.from_arcs(n, rng.integers(1, n + 1, size=(4 * n, 2)).tolist())
         assert_traces_match_oracle(r)
 
+    def test_column_rule_replaces_the_predecessor_set(self):
+        # Visiting (1, 2) deletes (4, 1) by the column rule, which replaces
+        # pred(1) by a new set.  Visiting (1, 3) deletes (3, 1) by the row
+        # rule alone, since the loop keeps 3 in pred(3); it must leave the new
+        # set, or visiting (1, 4) records (3, 1) a second time.  A star with
+        # 2-cycles empties pred(1) at its first arc.
+        r = rel(4, [(1, 2), (1, 3), (1, 4), (3, 1), (3, 2), (3, 3), (4, 1)])
+        assert_traces_match_oracle(r)
+        assert maximal_transitive_v2(r)[1].deleted == (((4, 1), 1), ((3, 1), 1))
+        star = [(1, v) for v in range(2, 9)]
+        assert_traces_match_oracle(rel(8, star + [(v, u) for u, v in star]))
+
     @pytest.mark.parametrize("p", [0.3, 0.9])
     @pytest.mark.parametrize("n", [63, 65, 129])
     def test_dense_with_loops_matches_oracle(self, n, p):
@@ -390,6 +402,14 @@ class TestClosureOracles:
                     self.assert_matches_oracles(host, rels[t])
                     pairs += 1
         assert pairs == 11017
+
+    @pytest.mark.parametrize("n", [2, 3, 70])
+    def test_directed_cycles(self, n):
+        # A maximal subset of a cycle keeps every other arc, and on it no row
+        # has a candidate arc.
+        host = Relation.from_arcs(n, [(v, v % n + 1) for v in range(1, n + 1)])
+        for t in (*starting_sets(host), Relation.from_arcs(n, [(1, 2)])):
+            self.assert_matches_oracles(host, t)
 
     @settings(max_examples=100)
     @given(relations(max_n=8))
