@@ -185,11 +185,14 @@ class TestKDeltaBalanced:
         assert extremal._balanced_fraction(r.adj, k, delta) == expected
         assert check_k_delta_balanced(r, k, delta) == (expected == 1.0)
 
-    @pytest.mark.parametrize("block", [1, 3, extremal._SCAN_BLOCK])
+    @pytest.mark.parametrize("block", [1, 3, 8192])
     @settings(max_examples=40, deadline=None)
     @given(data=st.data())
     def test_blocked_scan_matches_oracle(self, block, data):
-        # Blocks of 1 and 3 masks put block boundaries inside small tables.
+        # Blocks of 1 and 3 masks put block boundaries inside small tables;
+        # 8192 masks exceed the 4096 of n = 12, so one block spans the table,
+        # as the default block does here.  The default block size itself is
+        # crossed in test_blocked_scan_over_many_default_blocks.
         self._check_blocked_scan(data, block, st.integers(2, 12), max_arcs=30)
 
     @settings(max_examples=5, deadline=None)
