@@ -8,7 +8,7 @@ nondeterministic fields and are excluded from any byte-stability guarantee.
 
 Exit statuses: 0 success (all requested checks passed), 1 failed check of
 the input (``check``), failed precondition or I/O error, 2 usage error, 3
-parse error, 4 enumeration, dense-size or output budget exceeded, 5 a result of
+parse error, 4 enumeration, dense-size, arc or output budget exceeded, 5 a result of
 ``maximal``, ``maximum`` or ``closure`` failed its own check (indicates an
 implementation bug).  Those three share one tail: the result is written and
 the report emitted before the exit status is decided.
@@ -53,6 +53,13 @@ EXIT_VERIFY = 5
 # closure of m=4n at the 10000-vertex header limit is nearly complete,
 # about 1e8 arcs.
 _CLOSURE_ARC_BUDGET = 10**7
+
+# Most arcs ``maximum --mode dicut-local`` takes, checked before the local
+# search builds its arc view.  The whole process peaked at 879 MiB RSS for
+# the 9e6 arcs of an n=3000 matrix, about 100 B per arc past the input, and
+# at 808 MiB for an edge list of 6.0e6 arcs, about 140 B per arc, so this
+# limit stands near 2 GiB.
+_LOCAL_SEARCH_ARC_BUDGET = 15 * 10**6
 
 
 def _kv_line(*head: str, **fields) -> str:
@@ -174,6 +181,8 @@ def cmd_maximum(args) -> int:
     from .bench import _timed
 
     r, fmt = _load_relation(args)
+    if args.mode == "dicut-local" and r.m > _LOCAL_SEARCH_ARC_BUDGET:
+        raise BudgetError(f"{r.m} arcs exceeds the dicut-local limit of {_LOCAL_SEARCH_ARC_BUDGET}")
     result, wall = _timed(_maximum_solver(args), r)
     checks = [("size_ge_quarter", 4 * result.m >= r.m)] if args.mode == "quarter" else []
     if args.verify:

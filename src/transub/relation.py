@@ -9,12 +9,12 @@ and count toward the arc total ``m``.  All values are immutable once
 constructed; two threads that build the same missing view at once store equal
 arrays, so relations are safe to share across threads.
 
-Three operations have an arc route and a row route: ``is_transitive``, the
-untraced maximal v2 sweep and ``quarter_approx``.  ``_route`` picks the one
-that the cost table ``_ROUTE_COSTS`` prices lower from n, m, the number W of
-two-arc walks and the view held; outputs do not depend on the route.
-``is_subrelation`` keeps its own rule: it builds no matrix for two relations
-that hold none.  Transitivity walks all W two-arc walks ``a->b->c`` (W = sum
+Every operation with an arc route and a row route (``is_transitive``,
+``is_subrelation``, the untraced maximal v2 sweep and ``quarter_approx``)
+takes the one that ``_route`` prices lower in the cost table
+``_ROUTE_COSTS``, from n, the arcs of the relations it reads, the number W of
+two-arc walks and the views held; outputs do not depend on the route.
+Transitivity walks all W two-arc walks ``a->b->c`` (W = sum
 over b of indeg * outdeg, at most nm) in O(n + m + W log m) time, or tests
 that each matrix row, packed into 64-bit words, contains the rows of its
 successors, in O(n^2 + m * n / 64).  The same walk enumeration,
@@ -466,11 +466,12 @@ def serialize_relation(r: Relation, fmt: str) -> str:
 # Walks per chunk of ``_two_arc_walks``: keeps each index array of a chunk at 8 MiB.
 _WALK_CHUNK = 1 << 20
 
-# The cost in ns of each route of the operations that have two, from n, m,
-# W (the two-arc walks) and the view held; ``_route`` takes the cheaper.
+# The cost in ns of each route of the operations that have two, from n, m
+# (the arcs of every relation the op reads), W (the two-arc walks) and the
+# views held; ``_route`` takes the cheaper.
 # Per term: "arc" and "walk" price the arc route, "row", "word" (m * ceil(n /
 # 64) packed words) and "cell" the row route, and an op omits a term that
-# does not decide its choice; a missing view adds _VIEW_COST per cell.
+# does not decide its choice; each missing view adds _VIEW_COST per cell.
 # Measured once on a 2-vCPU Xeon VM (2.1 GHz, Python 3.11, numpy 2.4.6), in
 # process, medians of 3, both views held:
 # - transitive, fitted to 28 transitive inputs (orders, one-way complete
@@ -482,30 +483,36 @@ _WALK_CHUNK = 1 << 20
 #   overstates the sweep where sets empty early, as on a star with 2-cycles.
 # - quarter, at n = 1000 and 2000: lists 130-185 ns per arc; the matrix
 #   3.85 ns per cell, but 12.5 at n=4000.  ROADMAP.md lists the misroutes.
+# - subrelation, random a inside b (medians of 5, n = 1000-8000): the lookup
+#   14-21 ns per arc of a and b at m >= 10^5 (23-25 at m = 6n); the matrix
+#   test 0.31-0.49 ns per cell at n <= 2000, 0.46-0.69 at n=4000 and
+#   0.61-0.73 at n=8000.  Near the crossover (m = n^2/30) a pair of m = n^2/34
+#   at n=2000 takes the lookup, 2.5 ms against 2.0 by matrix.
 # - view: the arcs of a matrix 0.37-0.42 ns per cell, at m = 4n.
 _ROUTE_COSTS = {
     "transitive": ({"arc": 40, "walk": 42}, {"row": 1300, "word": 2.3, "cell": 0.45}),
     "maximal": ({"arc": 490, "walk": 8}, {"row": 10_000, "word": 1.25, "cell": 1.4}),
     "quarter": ({"arc": 170}, {"row": 3000, "cell": 3.85}),
+    "subrelation": ({"arc": 18}, {"cell": 0.6}),
 }
 _VIEW_COST = 0.4
 
 
-def _route(op: str, r: Relation) -> str:
+def _route(op: str, *rels: Relation) -> str:
     """``"arcs"`` or ``"rows"``: the route of ``op`` that ``_ROUTE_COSTS``
-    prices lower for ``r``.  W is counted only when it can change the choice;
-    a matrix-held ``r`` then gets its arc view if that is no larger than the
-    matrix, as counting degrees from the view is cheaper.  No matrix is built."""
+    prices lower for the relations it reads, one, or two for
+    ``"subrelation"``.  W is counted only when it can change the choice;
+    a matrix-held relation then gets its arc view if that is no larger than
+    the matrix, as counting degrees from the view is cheaper.  No matrix is
+    built."""
     arc_cost, row_cost = _ROUTE_COSTS[op]
-    n, m = r.n, r.m
-    arcs = arc_cost["arc"] * m
+    n, m = rels[0].n, sum(r.m for r in rels)
+    arcs = arc_cost["arc"] * m + _VIEW_COST * n * n * sum(r._src is None for r in rels)
     words = m * -(-n // 64)
-    rows = row_cost["row"] * n + row_cost.get("word", 0) * words + row_cost["cell"] * n * n
-    if r._src is None:
-        arcs += _VIEW_COST * n * n
-    if r._adj is None:
-        rows += _VIEW_COST * n * n
+    rows = row_cost.get("row", 0) * n + row_cost.get("word", 0) * words + row_cost["cell"] * n * n
+    rows += _VIEW_COST * n * n * sum(r._adj is None for r in rels)
     if "walk" in arc_cost and arcs < rows:
+        (r,) = rels
         if 16 * m <= n * n:  # two int64 arrays against one byte per cell
             r._arc_arrays()
         arcs += arc_cost["walk"] * _walk_count(r)
@@ -625,16 +632,28 @@ def transitive_closure(r: Relation) -> Relation:
     return Relation._from_matrix(_unpacked(rows, r.n))
 
 
-def is_subrelation(a: Relation, b: Relation) -> bool:
-    """True iff every arc of ``a`` is an arc of ``b``.  When neither holds its
-    matrix, the arcs of ``a`` are looked up among those of ``b``."""
-    if a.n != b.n:
-        raise ValueError(f"vertex count mismatch: {a.n} != {b.n}")
-    if a._adj is not None or b._adj is not None:
-        return not bool(np.any(a.adj & ~b.adj))
+def _subrelation_by_arcs(a: Relation, b: Relation) -> bool:
+    # Look each arc code of a up among the ascending arc codes of b.
     if b.m == 0:  # _arc_index reads the last code
         return a.m == 0
-    return bool(np.all(_arc_index(b._src * b.n + b._dst, a._src * a.n + a._dst) >= 0))
+    (a_src, a_dst), (b_src, b_dst) = a._arc_arrays(), b._arc_arrays()
+    return bool(np.all(_arc_index(b_src * b.n + b_dst, a_src * a.n + a_dst) >= 0))
+
+
+def _subrelation_by_rows(a_adj: np.ndarray, b_adj: np.ndarray) -> bool:
+    return not bool(np.any(a_adj & ~b_adj))
+
+
+def is_subrelation(a: Relation, b: Relation) -> bool:
+    """True iff every arc of ``a`` is an arc of ``b``.  The arc route looks
+    the arcs of ``a`` up among those of ``b``, in O(m log m) time; the row
+    route tests the matrices cell by cell, in O(n^2).  ``_route`` picks one
+    (``_ROUTE_COSTS``)."""
+    if a.n != b.n:
+        raise ValueError(f"vertex count mismatch: {a.n} != {b.n}")
+    if _route("subrelation", a, b) == "arcs":
+        return _subrelation_by_arcs(a, b)
+    return _subrelation_by_rows(a.adj, b.adj)
 
 
 def underlying_graph(r: Relation) -> UndirectedGraph:

@@ -117,8 +117,10 @@ class TestMaximum:
             return parsed[-1]
 
         monkeypatch.setattr(cli, "parse_relation", parse_and_keep)
+        # The route table prices the lookup of the containment check lower on
+        # this sparse pair; on a few vertices the matrix test is the cheaper.
         src = tmp_path / "r.rel"
-        src.write_text("6 7\n1 2\n2 3\n3 1\n3 4\n4 5\n5 6\n6 4\n")
+        src.write_text("100 100\n" + "".join(f"{v} {v % 100 + 1}\n" for v in range(1, 101)))
         argv = ["maximum", "--input", str(src), "--mode", "dicut-local", "--verify"]
         assert main(argv) == EXIT_OK
         assert "checks=transitive:pass,contained:pass " in capsys.readouterr().err
@@ -131,6 +133,28 @@ class TestMaximum:
         src.write_text(f"6 {len(arcs)}\n" + "".join(f"{u} {v}\n" for u, v in arcs))
         assert main(["maximum", "--input", str(src), "--mode", "exact"]) == EXIT_BUDGET
         assert "budget" in capsys.readouterr().err
+
+    def test_dicut_local_over_arc_limit(self, cycle_file, tmp_path, monkeypatch, capsys):
+        monkeypatch.setattr(cli, "_LOCAL_SEARCH_ARC_BUDGET", 3)
+        assert main(["maximum", "--input", cycle_file, "--mode", "dicut-local"]) == EXIT_OK
+        monkeypatch.setattr(cli, "_LOCAL_SEARCH_ARC_BUDGET", 2)
+        capsys.readouterr()
+        matrix = tmp_path / "cycle.mat"
+        matrix.write_text("010\n001\n100\n")
+        parsed = []
+
+        def parse_and_keep(text):
+            parsed.append(parse_relation(text))
+            return parsed[-1]
+
+        monkeypatch.setattr(cli, "parse_relation", parse_and_keep)
+        for path in (cycle_file, str(matrix)):
+            argv = ["maximum", "--input", path, "--mode", "dicut-local", "--verify"]
+            assert main(argv) == EXIT_BUDGET
+            assert capsys.readouterr() == (
+                "", "budget error: 3 arcs exceeds the dicut-local limit of 2\n"
+            )
+        assert parsed[-1][0]._src is None  # the matrix's arc view was not built
 
     def test_dicut_exact_budget_exit(self, tmp_path, capsys):
         src = tmp_path / "wide.rel"

@@ -1,10 +1,13 @@
-"""Every fenced ``python`` block of README.md runs as written, README's CLI
-tables list exactly what the CLI has, and the constants it cites exist and
-hold the values it states."""
+"""Every fenced ``python`` block of README.md runs as written, every
+``transub`` line of its ``sh`` blocks parses, README's CLI tables list exactly
+what the CLI has, and the constants it cites exist and hold the values it
+states."""
 
 import argparse
+import codecs
 import importlib
 import re
+import shlex
 from pathlib import Path
 
 import pytest
@@ -14,6 +17,12 @@ from transub import cli
 
 README_TEXT = (Path(__file__).resolve().parents[1] / "README.md").read_text(encoding="utf-8")
 BLOCKS = re.findall(r"^```python\n(.*?)^```", README_TEXT, re.M | re.S)
+SH_LINES = [
+    line
+    for block in re.findall(r"^```sh\n(.*?)^```", README_TEXT, re.M | re.S)
+    for line in block.splitlines()
+]
+COMMANDS = [line for line in SH_LINES if line.startswith("transub ")]
 
 
 def table_rows(heading: str) -> list[list[str]]:
@@ -49,6 +58,23 @@ def test_python_block_runs(index):
     exec(compile(BLOCKS[index], f"README.md python block {index}", "exec"), {})
 
 
+@pytest.mark.parametrize("line", COMMANDS, ids=lambda line: line.split("#")[0].strip())
+def test_sh_command_parses(line):
+    cli.build_parser().parse_args(shlex.split(line, comments=True)[1:])
+
+
+def test_path_example_writes_what_it_states(tmp_path, monkeypatch, capsys):
+    # printf '3 2\n1 2\n2 3\n' > path.rel, then the maximal line's stated output
+    (printf,) = [line for line in SH_LINES if line.startswith("printf ")]
+    _, text, _, name = shlex.split(printf)
+    (maximal,) = [line for line in COMMANDS if "path.rel" in line and "writes" in line]
+    stated = re.search(r'# writes "(.*)"', maximal).group(1)
+    monkeypatch.chdir(tmp_path)
+    (tmp_path / name).write_text(codecs.decode(text, "unicode_escape"))
+    assert cli.main(shlex.split(maximal, comments=True)[1:]) == cli.EXIT_OK
+    assert capsys.readouterr().out == codecs.decode(stated, "unicode_escape") == "3 1\n1 2\n"
+
+
 def test_subcommand_table_lists_every_subcommand():
     (subparsers,) = (
         action for action in cli.build_parser()._actions
@@ -73,7 +99,7 @@ def test_budget_table_states_the_constants():
     # Each row states a number, such as "22 arcs" or "10⁶ two-arc walks",
     # and names the constant that holds it.
     rows = table_rows("## Enumeration budgets")
-    assert len(rows) == 8
+    assert len(rows) == 9
     for routine, budget, parameter in rows:
         base, power = re.match(r"(\d+)([⁰¹²³⁴⁵⁶⁷⁸⁹]*) ", budget).groups()
         stated = int(base) ** int(power.translate(SUPERSCRIPTS)) if power else int(base)

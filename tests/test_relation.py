@@ -59,6 +59,16 @@ def relation_pairs(draw):
     return a, rel(a.n, kept + extra)
 
 
+@st.composite
+def nested_pairs(draw):
+    """Two relations on one vertex set, up to 12 vertices; in half of them
+    ``a`` is drawn as a subset of ``b``."""
+    a = draw(relations(max_n=12))
+    pairs = ordered_pairs(a.n, loops=True)
+    extra = draw(st.lists(st.sampled_from(pairs), max_size=len(pairs)))
+    return a, rel(a.n, (a.arcs() if draw(st.booleans()) else []) + extra)
+
+
 class TestRelationType:
     def test_counts_and_arcs(self):
         r = rel(3, [(1, 2), (2, 3), (1, 2)])
@@ -736,6 +746,43 @@ class TestRouteTable:
         assert r._src is None and self.routes(r) == ("arcs", "arcs")
         assert r._src is not None  # W was counted on the arc view, which the sets read
 
+    @staticmethod
+    def nested(n, m, seed):
+        """An arc-held b of m random arcs and the arc-held a of every other arc of b."""
+        b = TestRouteTable.random(n, m, seed)
+        src, dst = b._arc_arrays()
+        return Relation._from_arc_arrays(n, src[::2], dst[::2]), b
+
+    @staticmethod
+    def containment_route(a, b):
+        held = a._adj is not None, b._adj is not None
+        picked = relation._route("subrelation", a, b)
+        assert (a._adj is not None, b._adj is not None) == held  # no matrix was built
+        return picked
+
+    def test_arc_held_pair_inside_a_matrix(self):
+        # n=8000, m_a=2n, m_b=4n, b matrix-held: lookup 27.6-28.7 / matrix
+        # test 58.0-58.7 ms (2.4 / 4.9 ms at n=2000)
+        a, b = self.nested(8000, 4 * 8000, seed=7)
+        b = Relation(b.adj)
+        assert self.containment_route(a, b) == "arcs"
+        assert is_subrelation(a, b) and a._adj is None
+
+    def test_matrix_held_dense_pair(self):
+        # n=2000, m_b=n^2/4, m_a=m_b/2, both matrix-held: lookup 52.2 /
+        # matrix test 1.9 ms
+        a, b = self.nested(2000, 2000 * 2000 // 4, seed=8)
+        a, b = Relation(a.adj), Relation(b.adj)
+        assert self.containment_route(a, b) == "rows"
+
+    def test_arc_held_sparse_pair(self):
+        # n=8000, m_a=2n, m_b=4n, both arc-held: lookup 0.8-1.0 / matrix
+        # test 71.8-74.1 ms
+        a, b = self.nested(8000, 4 * 8000, seed=9)
+        assert self.containment_route(a, b) == "arcs"
+        assert is_subrelation(a, b)
+        assert a._adj is None and b._adj is None
+
     def test_walks_of_a_dense_matrix_are_counted_without_an_arc_view(self):
         # The benchmark's n=2000, m=n^2/4 matrix: is_transitive's arc route is
         # priced lower before its walks are counted, and an arc view would
@@ -860,9 +907,24 @@ class TestSubrelation:
             for b_arcs in (True, False):
                 x = rel(a.n, a.arcs()) if a_arcs else Relation(a.adj)
                 y = rel(b.n, b.arcs()) if b_arcs else Relation(b.adj)
+                route = relation._route("subrelation", x, y)
                 assert is_subrelation(x, y) == expected
-                if a_arcs and b_arcs:
-                    assert x._adj is None and y._adj is None  # no matrix was built
+                if a_arcs and b_arcs:  # a matrix is built only for the row route
+                    assert (x._adj is None and y._adj is None) == (route == "arcs")
+
+    @settings(max_examples=150)
+    @given(nested_pairs())
+    @example((rel(1, []), rel(1, [])))
+    @example((rel(3, []), rel(3, [(1, 2)])))
+    @example((rel(3, [(1, 2)]), rel(3, [])))  # b.m == 0
+    def test_both_routes_match_arc_set_inclusion(self, pair):
+        a, b = pair
+        expected = set(a.arcs()) <= set(b.arcs())
+        views = (lambda r: rel(r.n, r.arcs()), lambda r: Relation(r.adj))
+        for a_view in views:
+            for b_view in views:  # fresh relations, so each call builds what it reads
+                assert relation._subrelation_by_arcs(a_view(a), b_view(b)) == expected
+                assert relation._subrelation_by_rows(a_view(a).adj, b_view(b).adj) == expected
 
 
 class TestUnderlyingGraph:
