@@ -47,9 +47,9 @@ EXIT_BUDGET = 4
 EXIT_VERIFY = 5
 
 # Most arcs ``closure`` writes as an edge list.  The text is built through a
-# tuple per arc: on random edge lists with m=4n the whole process peaked at
-# 830 MiB RSS for 3.8e6 closure arcs (n=2000) and 1862 MiB for 8.6e6
-# (n=3000), about 216 B per arc, so this limit stands near 2.1 GiB.  The
+# string per line: on random edge lists with m=4n the whole process peaked
+# at 654 MiB RSS for 3.8e6 closure arcs (n=2000) and 978 MiB for 6.0e6
+# (n=2500), about 171 B per arc, so this limit stands near 1.6 GiB.  The
 # closure of m=4n at the 10000-vertex header limit is nearly complete,
 # about 1e8 arcs.
 _CLOSURE_ARC_BUDGET = 10**7
@@ -57,8 +57,8 @@ _CLOSURE_ARC_BUDGET = 10**7
 # Most arcs ``maximum --mode dicut-local`` takes, checked before the local
 # search builds its arc view.  The whole process peaked at 879 MiB RSS for
 # the 9e6 arcs of an n=3000 matrix, about 100 B per arc past the input, and
-# at 808 MiB for an edge list of 6.0e6 arcs, about 140 B per arc, so this
-# limit stands near 2 GiB.
+# at 430 MiB for an n=2000 edge list of 4e6 arcs, about 113 B per arc, so
+# this limit stands near 1.6 GiB.
 _LOCAL_SEARCH_ARC_BUDGET = 15 * 10**6
 
 

@@ -25,6 +25,7 @@ from .relation import (
     UndirectedGraph,
     _composition_walks,
     _distinct,
+    _low_bits_first,
     _route,
     find_triangle,
     underlying_graph,
@@ -79,28 +80,36 @@ class DicutResult:
         return self.forward + self.backward
 
 
-def _u_vector(p: VertexPartition) -> np.ndarray:
+def _partition(u) -> VertexPartition:
+    # The partition of a side vector: U where ``u`` is true.
+    return VertexPartition(tuple(np.where(u, U_SIDE, V_SIDE).tolist()))
+
+
+def _u_vector(r: Relation, p: VertexPartition) -> np.ndarray:
+    # The side vector of ``p`` (True for U), checked against the vertices of ``r``.
+    if p.n != r.n:
+        raise ValueError(f"partition covers {p.n} vertices, relation has {r.n}")
     return np.fromiter((s == U_SIDE for s in p.side), dtype=bool, count=p.n)
+
+
+def _crossing(u: np.ndarray, src: np.ndarray, dst: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    # Masks over the arcs: U to V, and V to U.  Loops and same-side arcs are in neither.
+    tail, head = u[src], u[dst]
+    return tail & ~head, head & ~tail
 
 
 def dicut_size(r: Relation, p: VertexPartition) -> DicutResult:
     """Count arcs crossing the partition in each direction; loops and
     same-side arcs count in neither."""
-    if p.n != r.n:
-        raise ValueError(f"partition covers {p.n} vertices, relation has {r.n}")
-    u = _u_vector(p)
-    src, dst = r._arc_arrays()
-    tail, head = u[src], u[dst]
-    return DicutResult(p, int(np.count_nonzero(tail & ~head)), int(np.count_nonzero(head & ~tail)))
+    forward, backward = _crossing(_u_vector(r, p), *r._arc_arrays())
+    return DicutResult(p, int(np.count_nonzero(forward)), int(np.count_nonzero(backward)))
 
 
 def forward_arcs(r: Relation, p: VertexPartition) -> Relation:
     """The arcs going from the U side to the V side, as a relation."""
-    if p.n != r.n:
-        raise ValueError(f"partition covers {p.n} vertices, relation has {r.n}")
-    u = _u_vector(p)
+    u = _u_vector(r, p)
     src, dst = r._arc_arrays()
-    keep = u[src] & ~u[dst]
+    keep, _ = _crossing(u, src, dst)
     return Relation._from_arc_arrays(r.n, src[keep], dst[keep])
 
 
@@ -139,7 +148,7 @@ def greedy_bipartition(g: UndirectedGraph) -> VertexPartition:
     """
     pairs = np.array(list(g.edges), dtype=np.int64).reshape(-1, 2) - 1  # u < v
     side = _greedy_sides_by_lists(g.n, np.sort(pairs[:, 1] * g.n + pairs[:, 0]))
-    return VertexPartition(tuple(U_SIDE if s else V_SIDE for s in side))
+    return _partition(side)
 
 
 def _quarter_by_arcs(r: Relation) -> Relation:
@@ -149,9 +158,7 @@ def _quarter_by_arcs(r: Relation) -> Relation:
     src, dst = r._arc_arrays()
     cross = src != dst
     edges = _distinct(np.maximum(src, dst)[cross] * n + np.minimum(src, dst)[cross])
-    u = np.array(_greedy_sides_by_lists(n, edges))
-    forward = u[src] & ~u[dst]
-    backward = u[dst] & ~u[src]
+    forward, backward = _crossing(np.array(_greedy_sides_by_lists(n, edges)), src, dst)
     keep = forward if np.count_nonzero(forward) >= np.count_nonzero(backward) else backward
     return Relation._from_arc_arrays(n, src[keep], dst[keep])
 
@@ -283,31 +290,16 @@ def _require_cut_budget(n: int) -> None:
         )
 
 
-def _partition_from_mask(mask: int, n: int) -> VertexPartition:
-    return VertexPartition(
-        tuple(U_SIDE if (mask >> v) & 1 else V_SIDE for v in range(n))
-    )
-
-
-def _lexicographic_keys(masks: np.ndarray, n: int) -> np.ndarray:
-    # Key orders side vectors with vertex 1 most significant and U < V, so the
-    # smallest key is the lexicographically smallest side vector.
-    keys = np.zeros(masks.shape, dtype=np.int64)
-    for v in range(n):
-        keys |= (1 - ((masks >> v) & 1)).astype(np.int64) << (n - 1 - v)
-    return keys
-
-
 def brute_force_max_dicut(r: Relation) -> DicutResult:
     """Exhaustive maximum directed cut; ties resolved to the lexicographically
-    smallest side vector (U before V, vertex 1 first)."""
+    smallest side vector (U before V, vertex 1 first).  That is the rule of
+    ``relation._low_bits_first`` over masks with bit v set for vertex v+1 in
+    U, the one tie-break that ``sat.max_ones_brute_force`` uses too."""
     _require_cut_budget(r.n)
     table = forward_cut_table(r.adj)
     best = int(table.max())
-    candidates = np.flatnonzero(table == best)
-    keys = _lexicographic_keys(candidates, r.n)
-    mask = int(candidates[int(np.argmin(keys))])
-    result = dicut_size(r, _partition_from_mask(mask, r.n))
+    mask = _low_bits_first(np.flatnonzero(table == best), r.n)
+    result = dicut_size(r, _partition((mask >> np.arange(r.n)) & 1))
     assert result.forward == best
     return result
 
@@ -369,8 +361,7 @@ def local_search_dicut(
         side = -side
         gain = gains()
         forward = backward
-    partition = VertexPartition(tuple(U_SIDE if s > 0 else V_SIDE for s in side.tolist()))
-    return dicut_size(r, partition)
+    return dicut_size(r, _partition(side > 0))
 
 
 def dicut_as_transitive(r: Relation, p: VertexPartition) -> Relation:

@@ -212,6 +212,20 @@ def _distinct(codes: np.ndarray) -> np.ndarray:
     return codes[first]
 
 
+def _low_bits_first(masks: np.ndarray, n: int) -> int:
+    """The one of the distinct ``masks`` that has bit 0 set if any of them
+    has, then bit 1 among those left, and so on through bit n - 1: the
+    tie-break of both exhaustive searches.  Read as the side vector of a cut
+    (bit v set for vertex v+1 in U) it keeps the lexicographically smallest
+    vector with U before V, and read as truth values the lexicographically
+    largest, variable 1 first."""
+    for bit in range(n):
+        kept = masks[(masks >> bit) & 1 == 1]
+        if len(kept):
+            masks = kept
+    return int(masks[0])
+
+
 @dataclass(frozen=True)
 class UndirectedGraph:
     """Simple undirected graph: no loops, each edge stored once as ``(u, v)`` with u < v."""
@@ -232,13 +246,15 @@ class UndirectedGraph:
     @classmethod
     def from_edges(cls, n: int, edges) -> "UndirectedGraph":
         """Build from arbitrary unordered pairs; orientation and duplicates are
-        normalized away.  ValueError for an item that is not a pair."""
+        normalized away.  ValueError for an item that is not a pair or an
+        endpoint that is not an integer."""
         normalized = set()
         for edge in edges:
             try:
                 u, v = edge
             except (TypeError, ValueError):
                 raise ValueError(f"edges must be (u, v) pairs, got {edge!r}") from None
+            u, v = _endpoints(u, v)
             if u == v:
                 raise ValueError(f"self-loop ({u}, {v}) not allowed")
             normalized.add((min(u, v), max(u, v)))
@@ -281,20 +297,24 @@ def _parse_edge_list_fast(text: str) -> Relation | None:
     """
     if not text.isascii():
         return None
-    buf = np.frombuffer(text.encode("ascii"), dtype=np.uint8)
-    digit = (buf >= ord("0")) & (buf <= ord("9"))
-    newline = buf == ord("\n")
-    if not np.all(digit | newline | (buf == ord(" ")) | (buf == ord("\t"))):
+    data = text.encode("ascii")
+    if data.translate(None, b"0123456789 \t\n"):
         return None
-    edges = np.diff(digit.view(np.int8), prepend=np.int8(0), append=np.int8(0))
+    buf = np.frombuffer(data, dtype=np.uint8)
+    # Past the alphabet test, the bytes at or above "0" are the digits.
+    edges = np.diff((buf >= ord("0")).view(np.int8), prepend=np.int8(0), append=np.int8(0))
     starts, ends = np.flatnonzero(edges == 1), np.flatnonzero(edges == -1)
+    del edges
     # 18 digits fit int64, and Python's int() takes them.
-    if len(starts) < 2 or np.any(ends - starts > 18):
+    if len(starts) < 2 or len(starts) % 2 or np.any(ends - starts > 18):
         return None
-    per_line = np.bincount(np.searchsorted(np.flatnonzero(newline), starts))
-    if np.any((per_line != 0) & (per_line != 2)):
+    # Tokens 2i and 2i+1 share a line and token 2i+2 is on a later one: with
+    # an even token count, exactly when every line holds 0 or 2 tokens.
+    line = np.searchsorted(np.flatnonzero(buf == ord("\n")), starts)
+    if np.any(line[0::2] != line[1::2]) or np.any(line[2::2] <= line[1:-1:2]):
         return None
     n = int(text[starts[0] : ends[0]])  # the header's arc count is never read
+    del data, buf, starts, ends, line  # about 60 B per arc, freed before the integers are read
     if not 1 <= n <= DENSE_VERTEX_BUDGET:
         return None
     values = np.fromstring(text, dtype=np.int64, sep=" ")[2:]
@@ -398,8 +418,9 @@ def _parse_matrix_lines(text: str) -> Relation:
 
 
 def serialize_edge_list(r: Relation) -> str:
+    src, dst = r._arc_arrays()
     lines = [f"{r.n} {r.m}"]
-    lines.extend(f"{u} {v}" for u, v in r.arcs())
+    lines.extend(map("{} {}".format, (src + 1).tolist(), (dst + 1).tolist()))
     return "\n".join(lines) + "\n"
 
 
@@ -706,6 +727,5 @@ def _composition_walks(r: Relation) -> tuple[ArcList, list[tuple[int, int, int]]
 
 def has_path_length_two(r: Relation) -> bool:
     """True iff some vertex has both an incoming and an outgoing arc
-    (endpoints of the two-step walk may coincide)."""
-    out_deg, in_deg = r._degrees()
-    return bool(np.any((out_deg > 0) & (in_deg > 0)))
+    (endpoints of the two-step walk may coincide): at least one two-arc walk."""
+    return _walk_count(r) > 0

@@ -23,7 +23,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .errors import BudgetError
-from .relation import Arc, Relation, _composition_walks, _walk_count
+from .relation import Arc, Relation, _composition_walks, _low_bits_first, _walk_count
 
 MAX_ONES_VAR_BUDGET = 24
 
@@ -100,7 +100,11 @@ def decode_assignment(r: Relation, f: CnfFormula, a: Assignment) -> Relation:
 
 def max_ones_brute_force(f: CnfFormula) -> tuple[Assignment, int]:
     """Among all satisfying assignments, maximize the number of true
-    variables; ties resolved to the lexicographically largest value vector."""
+    variables; ties resolved to the lexicographically largest value vector
+    (true before false, variable 1 first).  That is the rule of
+    ``relation._low_bits_first`` over masks with bit v set for a true
+    variable v+1, the one tie-break that ``maximum.brute_force_max_dicut``
+    uses too."""
     v = f.num_vars
     if v > MAX_ONES_VAR_BUDGET:
         raise BudgetError(f"{v} variables exceeds the enumeration budget of {MAX_ONES_VAR_BUDGET}")
@@ -118,11 +122,6 @@ def max_ones_brute_force(f: CnfFormula) -> tuple[Assignment, int]:
     for shift in range(v):
         ones += ((masks >> shift) & 1).astype(np.int8)
     best = int(ones[sat].max())
-    candidates = masks[sat & (ones == best)]
-    keys = np.zeros(candidates.shape, dtype=np.int64)
-    for shift in range(v):
-        # variable 1 is the most significant digit of the value vector
-        keys |= ((candidates >> shift) & 1).astype(np.int64) << (v - 1 - shift)
-    winner = int(candidates[int(np.argmax(keys))])
+    winner = _low_bits_first(masks[sat & (ones == best)], v)
     values = tuple(bool((winner >> shift) & 1) for shift in range(v))
     return Assignment(values), best

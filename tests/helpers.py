@@ -12,8 +12,8 @@ the matrix or by float32 side-bit products, the balance scan by the direct
 formula per bipartition, the underlying graph by the upper triangle of the
 symmetrized matrix, the local search by a rescan of every vertex each round,
 the greedy cut by neighbor sets, CNF clauses by a scan over every cell triple,
-the matrix format by a per-cell join.  They are the second route of every
-dual-route check.
+the matrix format by a per-cell join, the exhaustive tie-breaks by one key
+per mask.  They are the second route of every dual-route check.
 """
 
 from __future__ import annotations
@@ -396,6 +396,27 @@ def oracle_forward_arcs(r: Relation, p: VertexPartition) -> Relation:
         raise ValueError(f"partition covers {p.n} vertices, relation has {r.n}")
     u = np.array([s == "U" for s in p.side])
     return Relation(r.adj & np.outer(u, ~u))
+
+
+def oracle_smallest_side_vector(masks: np.ndarray, n: int) -> int:
+    """The mask (bit v set = vertex v+1 in U) of the lexicographically
+    smallest side vector, U before V and vertex 1 first, by the smallest key."""
+    # Key orders side vectors with vertex 1 most significant and U < V, so the
+    # smallest key is the lexicographically smallest side vector.
+    keys = np.zeros(masks.shape, dtype=np.int64)
+    for v in range(n):
+        keys |= (1 - ((masks >> v) & 1)).astype(np.int64) << (n - 1 - v)
+    return int(masks[int(np.argmin(keys))])
+
+
+def oracle_largest_value_vector(candidates: np.ndarray, v: int) -> int:
+    """The mask (bit i set = variable i+1 true) of the lexicographically
+    largest value vector, variable 1 first, by the largest key."""
+    keys = np.zeros(candidates.shape, dtype=np.int64)
+    for shift in range(v):
+        # variable 1 is the most significant digit of the value vector
+        keys |= ((candidates >> shift) & 1).astype(np.int64) << (v - 1 - shift)
+    return int(candidates[int(np.argmax(keys))])
 
 
 def oracle_local_search_dicut(

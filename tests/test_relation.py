@@ -10,8 +10,10 @@ from helpers import (
     oracle_closure_arcs,
     oracle_detect_format,
     oracle_is_transitive,
+    oracle_largest_value_vector,
     oracle_parse_matrix,
     oracle_serialize_matrix,
+    oracle_smallest_side_vector,
     oracle_underlying_graph,
     oracle_warshall_closure,
     ordered_pairs,
@@ -46,6 +48,13 @@ from transub import (
 
 def rel(n, arcs):
     return Relation.from_arcs(n, arcs)
+
+
+def random_edge_list(n: int, m: int, seed: int) -> str:
+    """The edge list of m distinct seeded random arcs on n vertices, in row-major order."""
+    codes = np.random.default_rng(seed).choice(n * n, size=m, replace=False)
+    src, dst = np.divmod(np.sort(codes), n)
+    return f"{n} {m}\n" + "".join(f"{u} {v}\n" for u, v in zip((src + 1).tolist(), (dst + 1).tolist()))
 
 
 @st.composite
@@ -344,6 +353,30 @@ class TestEdgeListFastPath:
             relation._parse_edge_list_lines, text
         )
 
+    @pytest.mark.parametrize("text", ["3 1\n1\n2\n", "3 2\n1 2\n3\n1\n", "3\n1\n1 2\n"])
+    def test_one_token_lines_in_pairs(self, text):
+        # An even token count, and every pair of tokens begins on a new line,
+        # but some pair spans two lines.
+        assert relation._parse_edge_list_fast(text) is None
+        assert parse_outcome(parse_edge_list, text) == parse_outcome(
+            relation._parse_edge_list_lines, text
+        )
+
+    def test_peak_per_arc(self):
+        # The arcs themselves take 16 B each; the token positions are freed
+        # before the integers are read, so the peak stays under 80 B per arc.
+        n, m = 8000, 32000
+        text = random_edge_list(n, m, seed=8001)
+        parse_edge_list("3 1\n1 2\n")
+        tracemalloc.start()
+        try:
+            r = parse_edge_list(text)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert r.n == n and r._adj is None
+        assert peak <= 80 * m, f"{peak / m:.1f} B per arc"
+
 
 # Rows of the right length and alphabet, with some rows cut, padded or
 # holding a character outside {0, 1}, ASCII or not.
@@ -443,6 +476,22 @@ class TestSerialization:
 
     def test_matrix_layout(self):
         assert serialize_matrix(rel(2, [(1, 2)])) == "01\n00\n"
+
+    def test_edge_list_peak_per_arc(self):
+        # One string per line, and the endpoints as two lists of ints: no
+        # tuple per arc on top.
+        n, m = 8000, 32000
+        text = random_edge_list(n, m, seed=8002)
+        r = parse_edge_list(text)
+        serialize_edge_list(rel(3, [(1, 2)]))
+        tracemalloc.start()
+        try:
+            out = serialize_edge_list(r)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert out == text
+        assert peak <= 160 * m, f"{peak / m:.1f} B per arc"
 
     @settings(max_examples=60)
     @given(relations())
@@ -969,7 +1018,7 @@ class TestTriangleFree:
     def test_empty(self):
         assert is_triangle_free(UndirectedGraph.from_edges(3, []))
 
-    @pytest.mark.parametrize("edge", [(1.5, 2), (1, 3.0), ("1", "2")])
+    @pytest.mark.parametrize("edge", [(1.5, 2), (1, 3.0), ("1", "2"), (1, "2"), (1, None), (1, 2j)])
     def test_rejects_non_integer_endpoints(self, edge):
         with pytest.raises(ValueError, match="^arc endpoints must be integers, got "):
             UndirectedGraph.from_edges(3, [edge])
@@ -998,3 +1047,42 @@ class TestPathLengthTwo:
 
     def test_loop_composes_with_itself(self):
         assert has_path_length_two(rel(1, [(1, 1)]))
+
+    @given(relations())
+    def test_matches_a_scan_of_arc_pairs(self, r):
+        arcs = r.arcs()
+        expected = any(b == c for _, b in arcs for c, _ in arcs)
+        assert has_path_length_two(r) == has_path_length_two(Relation(r.adj)) == expected
+
+
+@st.composite
+def distinct_masks(draw, max_n: int):
+    """A bit count n and a nonempty list of distinct n-bit masks, in any order."""
+    n = draw(st.integers(1, max_n))
+    return n, draw(st.lists(st.integers(0, (1 << n) - 1), min_size=1, max_size=64, unique=True))
+
+
+class TestLowBitsFirst:
+    # The one tie-break of both exhaustive searches, against the key oracle
+    # of each search.
+
+    @given(distinct_masks(max_n=20))
+    @example((3, [0b110, 0b101, 0b011]))
+    def test_smallest_side_vector_of_the_cut_search(self, case):
+        n, masks = case
+        masks = np.array(masks, dtype=np.int64)  # as ``np.flatnonzero`` gives them
+        assert relation._low_bits_first(masks, n) == oracle_smallest_side_vector(masks, n)
+
+    @given(distinct_masks(max_n=24))
+    @example((24, [0, (1 << 24) - 1]))
+    @example((3, [0b001, 0b110]))
+    def test_largest_value_vector_of_the_max_ones_search(self, case):
+        v, masks = case
+        masks = np.array(masks, dtype=np.uint32)  # as ``sat.max_ones_brute_force`` holds them
+        assert relation._low_bits_first(masks, v) == oracle_largest_value_vector(masks, v)
+
+    def test_every_mask_tied(self):
+        # The empty 20-vertex graph: every cut ties at 0, and all of them go to U.
+        masks = np.flatnonzero(np.zeros(1 << 20, dtype=np.int32) == 0)
+        expected = oracle_smallest_side_vector(masks, 20)
+        assert relation._low_bits_first(masks, 20) == expected == (1 << 20) - 1
