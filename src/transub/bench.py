@@ -9,12 +9,11 @@ monotonic clock, and summarized by the median over repetitions.
 from __future__ import annotations
 
 import random
-import time
 from dataclasses import dataclass
 
 import numpy as np
 
-from .relation import Relation, _require_dense_budget, _vertex_count
+from .relation import Relation, _require_dense_budget, _timed, _vertex_count
 
 SPARSE_MODE = "sparse"
 DENSE_MODE = "dense"
@@ -70,14 +69,6 @@ def random_relation(n: int, m: int, seed: int) -> Relation:
     adj = np.zeros((n, n), dtype=bool)
     adj[rows, cols] = True
     return Relation._from_matrix(adj)
-
-
-def _timed(fn, *args, **kwargs):
-    """``(fn(*args, **kwargs), wall time in ns)``, by the monotonic clock.  The
-    one clock probe of the package: the bench and every CLI run report use it."""
-    start = time.perf_counter_ns()
-    value = fn(*args, **kwargs)
-    return value, time.perf_counter_ns() - start
 
 
 def run_scaling(config: BenchConfig) -> list[BenchRow]:

@@ -31,6 +31,7 @@ from .errors import BudgetError, ParseError, PreconditionError
 from .relation import (
     EDGE_LIST_FORMAT,
     Relation,
+    _timed,
     is_subrelation,
     is_transitive,
     has_path_length_two,
@@ -145,7 +146,6 @@ def _maximality_verdicts(host: Relation, t: Relation) -> tuple[bool, bool, bool]
 
 
 def cmd_maximal(args) -> int:
-    from .bench import _timed
     from .maximal import maximal_transitive_v1, maximal_transitive_v2
 
     r, fmt = _load_relation(args)
@@ -178,8 +178,6 @@ def _maximum_solver(args):
 
 
 def cmd_maximum(args) -> int:
-    from .bench import _timed
-
     r, fmt = _load_relation(args)
     if args.mode == "dicut-local" and r.m > _LOCAL_SEARCH_ARC_BUDGET:
         raise BudgetError(f"{r.m} arcs exceeds the dicut-local limit of {_LOCAL_SEARCH_ARC_BUDGET}")
@@ -191,8 +189,6 @@ def cmd_maximum(args) -> int:
 
 
 def cmd_closure(args) -> int:
-    from .bench import _timed
-
     r, fmt = _load_relation(args)
     result, wall = _timed(transitive_closure, r)
     if fmt == EDGE_LIST_FORMAT and result.m > _CLOSURE_ARC_BUDGET:
@@ -212,8 +208,6 @@ def _check_verdicts(r: Relation, sub_path: str | None) -> tuple[list[tuple[str, 
 
 
 def cmd_check(args) -> int:
-    from .bench import _timed
-
     if args.sub:
         from . import maximal  # loaded before the clock of ``_maximality_verdicts``
     r, _ = _load_relation(args)
@@ -238,7 +232,9 @@ def cmd_experiment(args) -> int:
         run_balance_experiment,
         summarize_balance_experiment,
     )
+    from .maximum import _require_cut_budget
 
+    _require_cut_budget(args.n)  # before the graph is drawn, at about 300 B per edge
     graph = random_triangle_free_graph(args.n, args.m, args.seed)
     k = args.k if args.k is not None else max(1, -(-args.m // 4))
     reports = run_balance_experiment(graph, args.trials, k, args.delta, args.seed, args.cprime)

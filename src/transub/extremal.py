@@ -175,8 +175,8 @@ def random_triangle_free_graph(n: int, m: int, seed: int) -> UndirectedGraph:
     # range draws the same indices as sampling the list of pairs would.
     right = n - left
     rng = random.Random(seed)
-    return UndirectedGraph.from_edges(
-        n, [(j // right + 1, left + 1 + j % right) for j in rng.sample(range(capacity), m)]
+    return UndirectedGraph(
+        n, frozenset((j // right + 1, left + 1 + j % right) for j in rng.sample(range(capacity), m))
     )
 
 

@@ -208,9 +208,9 @@ def _require_transitive_sub(host: Relation, t: Relation) -> None:
         raise PreconditionError("sub-relation is not transitive")
 
 
-def _grow(host: Relation, t: Relation) -> np.ndarray:
+def _grow(host: Relation, t: Relation) -> tuple[np.ndarray, bool]:
     """Packed rows (``relation._packed_rows``) of ``t`` grown by the host arcs
-    outside it, tried in row-major order.
+    outside it, tried in row-major order, and whether any arc joined.
 
     Closing a transitive set plus ``(u, v)`` adds the block ``A(u) x B(v)``,
     ``A(u) = {u} | pred(u)``, ``B(v) = {v} | succ(v)``, so the arc joins iff
@@ -221,6 +221,7 @@ def _grow(host: Relation, t: Relation) -> np.ndarray:
     n = host.n
     miss = ~_packed_rows(host.adj)
     rows = _packed_rows(t.adj)
+    grew = False
     for u in range(n):
         # All fitting arcs of row u are committed at once.  During row u,
         # A(u) does not change, and neither does ``escape``; every committed
@@ -238,7 +239,8 @@ def _grow(host: Relation, t: Relation) -> np.ndarray:
             block = np.bitwise_or.reduce(rows[fit], axis=0)
             np.bitwise_or.at(block, fit >> 6, np.uint64(1) << (fit & 63).astype(np.uint64))
             rows[a] |= block
-    return rows
+            grew = True
+    return rows, grew
 
 
 def is_maximal_transitive(host: Relation, t: Relation) -> bool:
@@ -251,7 +253,7 @@ def is_maximal_transitive(host: Relation, t: Relation) -> bool:
     of ``host`` and ``t``.
     """
     _require_transitive_sub(host, t)
-    return bool(np.array_equal(_grow(host, t), _packed_rows(t.adj)))
+    return not _grow(host, t)[1]
 
 
 def extend_to_maximal(host: Relation, t: Relation) -> Relation:
@@ -262,4 +264,4 @@ def extend_to_maximal(host: Relation, t: Relation) -> Relation:
     which keeps the running set transitive (``_grow``).
     """
     _require_transitive_sub(host, t)
-    return Relation._from_matrix(_unpacked(_grow(host, t), host.n))
+    return Relation._from_matrix(_unpacked(_grow(host, t)[0], host.n))

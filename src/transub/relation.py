@@ -29,6 +29,7 @@ from __future__ import annotations
 import math
 import operator
 import re
+import time
 from dataclasses import dataclass
 
 import numpy as np
@@ -108,10 +109,14 @@ class Relation:
         return self._src, self._dst
 
     def _degrees(self) -> tuple[np.ndarray, np.ndarray]:
-        """(out-degree, in-degree) of every vertex, from the arcs when they are held."""
-        if self._src is None:
+        """(out-degree, in-degree) of every vertex.  They are counted on the
+        arc view, built if missing, when it is held or no larger than the
+        matrix, as counting on it is cheaper; otherwise on the matrix."""
+        # The view is two int64 arrays, 16 bytes per arc; the matrix one byte per cell.
+        if self._src is None and 16 * self._m > self._n * self._n:
             return np.count_nonzero(self._adj, axis=1), np.count_nonzero(self._adj, axis=0)
-        return np.bincount(self._src, minlength=self._n), np.bincount(self._dst, minlength=self._n)
+        src, dst = self._arc_arrays()
+        return np.bincount(src, minlength=self._n), np.bincount(dst, minlength=self._n)
 
     @property
     def n(self) -> int:
@@ -212,6 +217,14 @@ def _distinct(codes: np.ndarray) -> np.ndarray:
     return codes[first]
 
 
+def _timed(fn, *args, **kwargs):
+    """``(fn(*args, **kwargs), wall time in ns)``, by the monotonic clock.  The
+    one clock probe of the package: the bench and every CLI run report use it."""
+    start = time.perf_counter_ns()
+    value = fn(*args, **kwargs)
+    return value, time.perf_counter_ns() - start
+
+
 def _low_bits_first(masks: np.ndarray, n: int) -> int:
     """The one of the distinct ``masks`` that has bit 0 set if any of them
     has, then bit 1 among those left, and so on through bit n - 1: the
@@ -255,8 +268,6 @@ class UndirectedGraph:
             except (TypeError, ValueError):
                 raise ValueError(f"edges must be (u, v) pairs, got {edge!r}") from None
             u, v = _endpoints(u, v)
-            if u == v:
-                raise ValueError(f"self-loop ({u}, {v}) not allowed")
             normalized.add((min(u, v), max(u, v)))
         return cls(n, frozenset(normalized))
 
@@ -522,10 +533,8 @@ _VIEW_COST = 0.4
 def _route(op: str, *rels: Relation) -> str:
     """``"arcs"`` or ``"rows"``: the route of ``op`` that ``_ROUTE_COSTS``
     prices lower for the relations it reads, one, or two for
-    ``"subrelation"``.  W is counted only when it can change the choice;
-    a matrix-held relation then gets its arc view if that is no larger than
-    the matrix, as counting degrees from the view is cheaper.  No matrix is
-    built."""
+    ``"subrelation"``.  W is counted only when it can change the choice,
+    from the degrees of ``Relation._degrees``.  No matrix is built."""
     arc_cost, row_cost = _ROUTE_COSTS[op]
     n, m = rels[0].n, sum(r.m for r in rels)
     arcs = arc_cost["arc"] * m + _VIEW_COST * n * n * sum(r._src is None for r in rels)
@@ -534,8 +543,6 @@ def _route(op: str, *rels: Relation) -> str:
     rows += _VIEW_COST * n * n * sum(r._adj is None for r in rels)
     if "walk" in arc_cost and arcs < rows:
         (r,) = rels
-        if 16 * m <= n * n:  # two int64 arrays against one byte per cell
-            r._arc_arrays()
         arcs += arc_cost["walk"] * _walk_count(r)
     return "arcs" if arcs < rows else "rows"
 

@@ -14,6 +14,7 @@ from transub import (
     ParseError,
     Relation,
     cli,
+    extremal,
     parse_edge_list,
     parse_matrix,
     parse_relation,
@@ -345,6 +346,18 @@ class TestExperiment:
     def test_over_budget_before_the_matrix(self, capsys):
         # An orientation's matrix would take 931 GiB.
         argv = ["experiment", "--n", "1000000", "--m", "10", "--trials", "1"]
+        assert main(argv) == EXIT_BUDGET
+        assert capsys.readouterr() == (
+            "", "budget error: 1000000 vertices exceeds the enumeration budget of 20\n"
+        )
+
+    def test_over_budget_before_the_graph(self, monkeypatch, capsys):
+        # Drawing 10^8 edges would take about 30 GB, at about 300 B per edge.
+        def never(*args):
+            raise AssertionError("the graph was drawn")
+
+        monkeypatch.setattr(extremal, "random_triangle_free_graph", never)
+        argv = ["experiment", "--n", "1000000", "--m", "100000000", "--trials", "1"]
         assert main(argv) == EXIT_BUDGET
         assert capsys.readouterr() == (
             "", "budget error: 1000000 vertices exceeds the enumeration budget of 20\n"

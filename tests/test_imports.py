@@ -7,6 +7,8 @@ import json
 import subprocess
 import sys
 
+import pytest
+
 import transub
 from transub import cli, maximal
 
@@ -90,6 +92,22 @@ def test_encode_loads_sat_only(tmp_path):
     path.write_text("3 2\n1 2\n2 3\n")
     loaded = loaded_by_cli(["encode", "--input", str(path), "--output", str(tmp_path / "cnf")])
     assert loaded & SOLVERS == {"sat"}
+
+
+@pytest.mark.parametrize(
+    "argv", [["maximal"], ["maximum", "--mode", "quarter"], ["check"], ["closure"]], ids=" ".join
+)
+def test_timed_subcommands_load_no_bench(tmp_path, argv):
+    # The run clock is ``relation._timed``; only ``bench`` loads the harness.
+    path = tmp_path / "r.txt"
+    path.write_text("3 1\n1 2\n")
+    argv = [*argv, "--input", str(path), "--output", str(tmp_path / "out")]
+    assert "bench" not in loaded_by_cli(argv)
+
+
+def test_bench_loads_the_harness(tmp_path):
+    argv = ["bench", "--sizes", "4", "--repetitions", "1", "--output", str(tmp_path / "out")]
+    assert "bench" in loaded_by_cli(argv)
 
 
 def test_experiment_loads_no_sat(tmp_path):

@@ -1025,6 +1025,12 @@ class TestTriangleFree:
         with pytest.raises(ValueError, match="^arc endpoints must be integers, got "):
             UndirectedGraph(3, frozenset([edge]))
 
+    def test_rejects_self_loops(self):
+        with pytest.raises(ValueError, match=r"^self-loop \(2, 2\) not allowed$"):
+            UndirectedGraph.from_edges(3, [(2, 2)])
+        with pytest.raises(ValueError, match=r"^self-loop \(2, 2\) not allowed$"):
+            UndirectedGraph(3, frozenset({(2, 2)}))
+
     @pytest.mark.parametrize("edges", [[1, 2], [(1, 2, 3)], [(1,)]])
     def test_rejects_items_that_are_not_pairs(self, edges):
         with pytest.raises(ValueError, match=r"^edges must be \(u, v\) pairs, got "):
@@ -1053,6 +1059,21 @@ class TestPathLengthTwo:
         arcs = r.arcs()
         expected = any(b == c for _, b in arcs for c, _ in arcs)
         assert has_path_length_two(r) == has_path_length_two(Relation(r.adj)) == expected
+
+    def test_counts_on_an_arc_view_no_larger_than_the_matrix(self, monkeypatch):
+        # 16 * m == n^2: the view's two int64 arrays match the matrix's bytes.
+        r = Relation(rel(8, [(1, 2), (2, 3), (5, 5), (7, 8)]).adj)
+
+        def no_matrix_count(*args, **kwargs):
+            raise AssertionError("degrees counted on the matrix")
+
+        monkeypatch.setattr(relation.np, "count_nonzero", no_matrix_count)
+        assert has_path_length_two(r) and r._src is not None
+
+    def test_counts_on_a_smaller_matrix(self):
+        # 16 * m > n^2: the matrix is counted, and no arc view is built.
+        r = Relation(rel(8, [(1, 2), (3, 4), (5, 6), (7, 8), (1, 4)]).adj)
+        assert not has_path_length_two(r) and r._src is None
 
 
 @st.composite
