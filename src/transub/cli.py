@@ -27,7 +27,7 @@ from pathlib import Path
 # process loads only the layers it runs, and a patched attribute of a layer
 # module is what it calls.  The imports precede the ``_timed`` call, which
 # then times the solve alone.
-from .errors import BudgetError, ParseError, PreconditionError
+from .errors import BudgetError, ParseError, PreconditionError, _check_limit
 from .relation import (
     EDGE_LIST_FORMAT,
     Relation,
@@ -179,8 +179,8 @@ def _maximum_solver(args):
 
 def cmd_maximum(args) -> int:
     r, fmt = _load_relation(args)
-    if args.mode == "dicut-local" and r.m > _LOCAL_SEARCH_ARC_BUDGET:
-        raise BudgetError(f"{r.m} arcs exceeds the dicut-local limit of {_LOCAL_SEARCH_ARC_BUDGET}")
+    if args.mode == "dicut-local":
+        _check_limit(r.m, _LOCAL_SEARCH_ARC_BUDGET, "{} arcs exceeds the dicut-local limit")
     result, wall = _timed(_maximum_solver(args), r)
     checks = [("size_ge_quarter", 4 * result.m >= r.m)] if args.mode == "quarter" else []
     if args.verify:
@@ -191,10 +191,8 @@ def cmd_maximum(args) -> int:
 def cmd_closure(args) -> int:
     r, fmt = _load_relation(args)
     result, wall = _timed(transitive_closure, r)
-    if fmt == EDGE_LIST_FORMAT and result.m > _CLOSURE_ARC_BUDGET:
-        raise BudgetError(
-            f"closure of {result.m} arcs exceeds the edge-list output limit of {_CLOSURE_ARC_BUDGET}"
-        )
+    if fmt == EDGE_LIST_FORMAT:
+        _check_limit(result.m, _CLOSURE_ARC_BUDGET, "closure of {} arcs exceeds the edge-list output limit")
     checks = [("transitive", is_transitive(result)), ("contains_input", is_subrelation(r, result))]
     return _finish(args, r, fmt, result, checks, wall)
 

@@ -14,7 +14,15 @@ class ParseError(ValueError):
 
 
 class BudgetError(ValueError):
-    """Raised when an exhaustive routine is asked to exceed its enumeration budget."""
+    """Raised when an input exceeds a stated limit: the dense vertex limit,
+    an enumeration or encoding budget, or a CLI output or search limit."""
+
+
+def _check_limit(count: int, limit: int, phrase: str) -> None:
+    """Raise ``BudgetError`` "<phrase with count> of <limit>" if ``count``
+    exceeds ``limit``; ``phrase`` holds one ``{}`` for the count."""
+    if count > limit:
+        raise BudgetError(f"{phrase.format(count)} of {limit}")
 
 
 class PreconditionError(ValueError):

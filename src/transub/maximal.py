@@ -26,8 +26,9 @@ row ``i``.  It runs on the n^2 / 8 bytes of packed rows of
 |pred(i)|) * n / 64) time.
 
 ``is_maximal_transitive`` and ``extend_to_maximal`` share one join rule,
-``_grow``, which tries the host arcs outside a transitive set on the same
-packed rows.
+``_joining``, which finds, row by row on the same packed rows, the host arcs
+that can join a transitive set; the check stops at the first row with one,
+and the extension commits them.
 
 Each invocation owns a private copy of the matrix, of the arc sets or of the
 packed rows, so concurrent calls on distinct inputs are safe.
@@ -208,9 +209,11 @@ def _require_transitive_sub(host: Relation, t: Relation) -> None:
         raise PreconditionError("sub-relation is not transitive")
 
 
-def _grow(host: Relation, t: Relation) -> tuple[np.ndarray, bool]:
-    """Packed rows (``relation._packed_rows``) of ``t`` grown by the host arcs
-    outside it, tried in row-major order, and whether any arc joined.
+def _joining(rows: np.ndarray, miss: np.ndarray, u: int) -> tuple[np.ndarray, np.ndarray]:
+    """``A(u)`` and the heads ``v`` of the host arcs ``(u, v)`` outside a
+    transitive set that can join it, as vertex arrays; ``rows`` are the set's
+    packed rows (``relation._packed_rows``), ``miss`` those of the
+    complemented host.
 
     Closing a transitive set plus ``(u, v)`` adds the block ``A(u) x B(v)``,
     ``A(u) = {u} | pred(u)``, ``B(v) = {v} | succ(v)``, so the arc joins iff
@@ -218,34 +221,21 @@ def _grow(host: Relation, t: Relation) -> tuple[np.ndarray, bool]:
     ``A(u)``; it is committed by setting that block, which keeps the set
     transitive.
     """
-    n = host.n
-    miss = ~_packed_rows(host.adj)
-    rows = _packed_rows(t.adj)
-    grew = False
-    for u in range(n):
-        # All fitting arcs of row u are committed at once.  During row u,
-        # A(u) does not change, and neither does ``escape``; every committed
-        # B(v) misses ``escape``, so no fit test of the row depends on an
-        # earlier commit in it.
-        a = np.flatnonzero(_column(rows, u) | (np.arange(n) == u))
-        escape = np.bitwise_or.reduce(miss[a], axis=0)
-        # ``escape`` holds ``miss[u]``, so its clear bits are host arcs; v lies
-        # in B(v), and an arc already in the set would add nothing.
-        cand = _members(~(escape | rows[u]), n)
-        if not len(cand):
-            continue
-        fit = cand[~(rows[cand] & escape).any(axis=1)]
-        if len(fit):
-            block = np.bitwise_or.reduce(rows[fit], axis=0)
-            np.bitwise_or.at(block, fit >> 6, np.uint64(1) << (fit & 63).astype(np.uint64))
-            rows[a] |= block
-            grew = True
-    return rows, grew
+    n = len(rows)
+    a = np.flatnonzero(_column(rows, u) | (np.arange(n) == u))
+    escape = np.bitwise_or.reduce(miss[a], axis=0)
+    # ``escape`` holds ``miss[u]``, so its clear bits are host arcs; v lies
+    # in B(v), and an arc already in the set would add nothing.  A row with
+    # no candidate skips the fit test's numpy calls.
+    cand = _members(~(escape | rows[u]), n)
+    return a, cand[~(rows[cand] & escape).any(axis=1)] if len(cand) else cand
 
 
 def is_maximal_transitive(host: Relation, t: Relation) -> bool:
-    """True iff no arc of ``host`` outside ``t`` can join ``t`` transitively,
-    that is, iff ``_grow`` adds nothing to ``t``.
+    """True iff no arc of ``host`` outside ``t`` can join ``t`` transitively
+    (``_joining``).  Rows are tried in order, each against ``t`` itself, as
+    nothing is committed, and the answer is False at the first row with a
+    joining arc.
 
     This takes O(n^2 + sum over u of (|A(u)| + c(u)) * n / 64) time, ``c(u)``
     the host arcs ``(u, v)`` outside the set whose ``v`` is not in
@@ -253,7 +243,8 @@ def is_maximal_transitive(host: Relation, t: Relation) -> bool:
     of ``host`` and ``t``.
     """
     _require_transitive_sub(host, t)
-    return not _grow(host, t)[1]
+    rows, miss = _packed_rows(t.adj), ~_packed_rows(host.adj)
+    return not any(len(_joining(rows, miss, u)[1]) for u in range(host.n))
 
 
 def extend_to_maximal(host: Relation, t: Relation) -> Relation:
@@ -261,7 +252,19 @@ def extend_to_maximal(host: Relation, t: Relation) -> Relation:
 
     Host arcs outside the current set are tried in row-major order, and each
     arc whose closure with the current set stays inside ``host`` is committed,
-    which keeps the running set transitive (``_grow``).
+    which keeps the running set transitive (``_joining``).
     """
     _require_transitive_sub(host, t)
-    return Relation._from_matrix(_unpacked(_grow(host, t)[0], host.n))
+    miss = ~_packed_rows(host.adj)
+    rows = _packed_rows(t.adj)
+    for u in range(host.n):
+        # All joining arcs of row u are committed at once.  During row u,
+        # A(u) does not change, and neither does ``escape``; every committed
+        # B(v) misses ``escape``, so no fit test of the row depends on an
+        # earlier commit in it.
+        a, fit = _joining(rows, miss, u)
+        if len(fit):
+            block = np.bitwise_or.reduce(rows[fit], axis=0)
+            np.bitwise_or.at(block, fit >> 6, np.uint64(1) << (fit & 63).astype(np.uint64))
+            rows[a] |= block
+    return Relation._from_matrix(_unpacked(rows, host.n))

@@ -19,7 +19,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import BudgetError, TriangleFoundError
+from .errors import TriangleFoundError, _check_limit
 from .relation import (
     Relation,
     UndirectedGraph,
@@ -202,8 +202,7 @@ def brute_force_mts(r: Relation) -> Relation:
     its highest arc index has been decided, as premise and required bitmasks
     (a required mask of 0 forbids the premise pair).
     """
-    if r.m > DEFAULT_ARC_BUDGET:
-        raise BudgetError(f"{r.m} arcs exceeds the enumeration budget of {DEFAULT_ARC_BUDGET}")
+    _check_limit(r.m, DEFAULT_ARC_BUDGET, "{} arcs exceeds the enumeration budget")
     arcs, walks = _composition_walks(r)
     m = len(arcs)
     by_last: list[list[tuple[int, int]]] = [[] for _ in range(m)]
@@ -284,10 +283,7 @@ def forward_cut_table(adj: np.ndarray) -> np.ndarray:
 
 
 def _require_cut_budget(n: int) -> None:
-    if n > DEFAULT_VERTEX_BUDGET:
-        raise BudgetError(
-            f"{n} vertices exceeds the enumeration budget of {DEFAULT_VERTEX_BUDGET}"
-        )
+    _check_limit(n, DEFAULT_VERTEX_BUDGET, "{} vertices exceeds the enumeration budget")
 
 
 def brute_force_max_dicut(r: Relation) -> DicutResult:

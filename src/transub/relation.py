@@ -34,7 +34,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import BudgetError, ParseError
+from .errors import ParseError, _check_limit
 
 Arc = tuple[int, int]
 ArcList = list[Arc]
@@ -112,9 +112,12 @@ class Relation:
         """(out-degree, in-degree) of every vertex.  They are counted on the
         arc view, built if missing, when it is held or no larger than the
         matrix, as counting on it is cheaper; otherwise on the matrix."""
-        # The view is two int64 arrays, 16 bytes per arc; the matrix one byte per cell.
+        # The view is two int64 arrays, 16 bytes per arc; the matrix one byte
+        # per cell.  Summing its uint8 view into int32 took half the time of
+        # ``count_nonzero(axis=...)`` at n=2000, m=n^2/4.
         if self._src is None and 16 * self._m > self._n * self._n:
-            return np.count_nonzero(self._adj, axis=1), np.count_nonzero(self._adj, axis=0)
+            cells = self._adj.view(np.uint8)
+            return cells.sum(axis=1, dtype=np.int32), cells.sum(axis=0, dtype=np.int32)
         src, dst = self._arc_arrays()
         return np.bincount(src, minlength=self._n), np.bincount(dst, minlength=self._n)
 
@@ -370,8 +373,7 @@ def _parse_edge_list_lines(text: str) -> Relation:
 
 
 def _require_dense_budget(n: int) -> None:
-    if n > DENSE_VERTEX_BUDGET:
-        raise BudgetError(f"{n} vertices exceeds the dense limit of {DENSE_VERTEX_BUDGET}")
+    _check_limit(n, DENSE_VERTEX_BUDGET, "{} vertices exceeds the dense limit")
 
 
 def parse_matrix(text: str) -> Relation:
@@ -549,9 +551,10 @@ def _route(op: str, *rels: Relation) -> str:
 
 def _walk_count(r: Relation) -> int:
     """W, the number of two-arc walks ``a->b->c``: the sum over b of
-    indeg(b) * outdeg(b), from the degrees alone."""
+    indeg(b) * outdeg(b), from the degrees alone.  The dot runs in int64:
+    W reaches n^3, past the int32 range from n = 1291."""
     out_deg, in_deg = r._degrees()
-    return int(in_deg @ out_deg)
+    return int(in_deg.astype(np.int64) @ out_deg)
 
 
 def _two_arc_walks(src: np.ndarray, dst: np.ndarray, n: int):
@@ -579,6 +582,8 @@ def _two_arc_walks(src: np.ndarray, dst: np.ndarray, n: int):
 
 def _arc_index(codes: np.ndarray, wanted: np.ndarray) -> np.ndarray:
     """Index of each wanted cell code among the ascending arc codes, -1 where absent."""
+    if not len(codes):
+        return np.full(len(wanted), -1)
     at = np.minimum(np.searchsorted(codes, wanted), len(codes) - 1)
     return np.where(codes[at] == wanted, at, -1)
 
@@ -662,8 +667,6 @@ def transitive_closure(r: Relation) -> Relation:
 
 def _subrelation_by_arcs(a: Relation, b: Relation) -> bool:
     # Look each arc code of a up among the ascending arc codes of b.
-    if b.m == 0:  # _arc_index reads the last code
-        return a.m == 0
     (a_src, a_dst), (b_src, b_dst) = a._arc_arrays(), b._arc_arrays()
     return bool(np.all(_arc_index(b_src * b.n + b_dst, a_src * a.n + a_dst) >= 0))
 

@@ -22,7 +22,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .errors import BudgetError
+from .errors import _check_limit
 from .relation import Arc, Relation, _composition_walks, _low_bits_first, _walk_count
 
 MAX_ONES_VAR_BUDGET = 24
@@ -54,9 +54,7 @@ class Assignment:
 
 
 def encode_mts_to_cnf(r: Relation) -> CnfFormula:
-    count = _walk_count(r)
-    if count > _WALK_BUDGET:
-        raise BudgetError(f"{count} two-arc walks exceeds the encoding budget of {_WALK_BUDGET}")
+    _check_limit(_walk_count(r), _WALK_BUDGET, "{} two-arc walks exceeds the encoding budget")
     arcs, walks = _composition_walks(r)
     clauses = [
         [req + 1, -(i1 + 1), -(i2 + 1)] if req >= 0 else [-(i1 + 1), -(i2 + 1)]
@@ -106,8 +104,7 @@ def max_ones_brute_force(f: CnfFormula) -> tuple[Assignment, int]:
     variable v+1, the one tie-break that ``maximum.brute_force_max_dicut``
     uses too."""
     v = f.num_vars
-    if v > MAX_ONES_VAR_BUDGET:
-        raise BudgetError(f"{v} variables exceeds the enumeration budget of {MAX_ONES_VAR_BUDGET}")
+    _check_limit(v, MAX_ONES_VAR_BUDGET, "{} variables exceeds the enumeration budget")
     masks = np.arange(1 << v, dtype=np.uint32)
     sat = np.ones(masks.shape, dtype=bool)
     for clause in f.clauses:

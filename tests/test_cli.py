@@ -1,8 +1,10 @@
+import ast
 import io
 import json
 import subprocess
 import sys
 import tracemalloc
+from pathlib import Path
 
 import pytest
 from hypothesis import example, given, settings
@@ -14,6 +16,7 @@ from transub import (
     ParseError,
     Relation,
     cli,
+    errors,
     extremal,
     parse_edge_list,
     parse_matrix,
@@ -280,6 +283,27 @@ class TestHugeHeader:
         src.write_text(text)
         assert main(["check", "--input", str(src)]) == EXIT_BUDGET
         assert capsys.readouterr().err == "budget error: 4 vertices exceeds the dense limit of 3\n"
+
+
+class TestLimitCheck:
+    """Every limit is checked by ``errors._check_limit``, which states the limit."""
+
+    def test_raises_only_past_the_limit(self):
+        errors._check_limit(3, 3, "{} arcs exceeds the test limit")
+        with pytest.raises(BudgetError) as exc:
+            errors._check_limit(4, 3, "{} arcs exceeds the test limit")
+        assert str(exc.value) == "4 arcs exceeds the test limit of 3"
+
+    def test_only_the_helper_raises_budget_errors(self):
+        package = Path(errors.__file__).parent
+        raisers = [
+            f"{path.name}:{node.lineno}"
+            for path in sorted(package.glob("*.py")) if path.name != "errors.py"
+            for node in ast.walk(ast.parse(path.read_text()))
+            if isinstance(node, ast.Raise) and isinstance(node.exc, ast.Call)
+            and getattr(node.exc.func, "id", None) == "BudgetError"
+        ]
+        assert raisers == []
 
 
 class TestEncode:

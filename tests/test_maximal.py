@@ -484,3 +484,47 @@ class TestPackedRowRoute:
             tracemalloc.stop()
         assert verdict
         assert peak < 5 * n * n, f"{peak / 2**20:.1f} MiB"
+
+
+class TestVerdictStopsEarly:
+    """``is_maximal_transitive`` asks ``_joining`` row by row and answers
+    False at the first row with a joining arc."""
+
+    N = 300
+
+    @pytest.fixture(scope="class")
+    def host_and_result(self):
+        rng = np.random.default_rng(self.N)
+        host = rel(self.N, rng.integers(1, self.N + 1, size=(4 * self.N, 2)).tolist())
+        return host, maximal_transitive_v2(host, collect_trace=False)[0]
+
+    @staticmethod
+    def verdict_and_rows(monkeypatch, host, t):
+        rows = []
+        joining = maximal._joining
+
+        def spy(packed, miss, u):
+            rows.append(u)
+            return joining(packed, miss, u)
+
+        monkeypatch.setattr(maximal, "_joining", spy)
+        return is_maximal_transitive(host, t), rows
+
+    def test_maximal_result_asks_every_row(self, monkeypatch, host_and_result):
+        host, t = host_and_result
+        assert self.verdict_and_rows(monkeypatch, host, t) == (True, list(range(self.N)))
+
+    def test_stops_by_the_row_of_a_dropped_arc(self, monkeypatch, host_and_result):
+        host, t = host_and_result
+        arcs = t.arcs()
+        # the first arc of each row that leaves the set transitive when dropped
+        droppable = {}
+        for arc in arcs:
+            if arc[0] not in droppable and is_transitive(rel(self.N, [a for a in arcs if a != arc])):
+                droppable[arc[0]] = arc
+        firsts = sorted(droppable)
+        assert len(firsts) > 3
+        for u in (firsts[0], firsts[len(firsts) // 2], firsts[-1]):
+            less = rel(self.N, [a for a in arcs if a != droppable[u]])
+            verdict, rows = self.verdict_and_rows(monkeypatch, host, less)
+            assert not verdict and len(rows) <= u  # u is 1-based: rows 0 .. u - 1

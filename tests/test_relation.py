@@ -975,6 +975,10 @@ class TestSubrelation:
                 assert relation._subrelation_by_arcs(a_view(a), b_view(b)) == expected
                 assert relation._subrelation_by_rows(a_view(a).adj, b_view(b).adj) == expected
 
+    def test_lookup_among_no_arcs_finds_none(self):
+        no_codes = np.array([], dtype=np.int64)
+        assert relation._arc_index(no_codes, np.array([0, 5])).tolist() == [-1, -1]
+
 
 class TestUnderlyingGraph:
     def test_two_cycle_merges(self):
@@ -1042,6 +1046,30 @@ class TestTriangleFree:
             UndirectedGraph(n, frozenset())
         with pytest.raises(ValueError, match="^vertex count must be an integer, got "):
             UndirectedGraph.from_edges(n, [(1, 2)])
+
+
+class TestWalkCount:
+    """W against a Python sum of indeg(b) * outdeg(b), on a matrix-held and
+    an arc-held copy; a dense matrix is counted in int32."""
+
+    @staticmethod
+    def counts(adj):
+        src, dst = np.nonzero(adj)
+        copies = (Relation(adj), Relation._from_arc_arrays(adj.shape[0], src, dst))
+        return [relation._walk_count(r) for r in copies]
+
+    @staticmethod
+    def python_sum(adj):
+        return sum(i * o for i, o in zip(adj.sum(axis=0).tolist(), adj.sum(axis=1).tolist()))
+
+    @given(relations())
+    def test_matches_a_python_sum(self, r):
+        assert self.counts(r.adj) == [self.python_sum(r.adj)] * 2
+
+    def test_all_ones_past_the_int32_range(self):
+        n = 2000  # W = n^3 = 8e9; an int32 dot gives -589934592
+        adj = np.ones((n, n), dtype=bool)
+        assert self.counts(adj) == [self.python_sum(adj)] * 2 == [n**3] * 2
 
 
 class TestPathLengthTwo:
