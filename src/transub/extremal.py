@@ -23,9 +23,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import TriangleFoundError
 from .maximum import VertexPartition, _require_cut_budget, dicut_size, forward_cut_table
-from .relation import Relation, UndirectedGraph, _vertex_count, find_triangle
+from .relation import Relation, UndirectedGraph, _require_triangle_free, _vertex_count
 
 _MASK64 = (1 << 64) - 1
 _GOLDEN_GAMMA = 0x9E3779B97F4A7C15
@@ -196,9 +195,7 @@ def run_balance_experiment(
     if math.isnan(cprime):
         raise ValueError(f"cprime must be a number, got {cprime}")
     _require_cut_budget(g.n)
-    triangle = find_triangle(g)
-    if triangle is not None:
-        raise TriangleFoundError(triangle)
+    _require_triangle_free(g)
     m = g.m
     bound_m4 = m / 4
     bound_upper = m / 2 + cprime * m ** 0.8

@@ -7,7 +7,10 @@ through the forward cut table (at most 20 vertices), an int32 table built by
 subset doubling, one vertex at a time, with no float array and no matrix product.
 ``quarter_approx`` keeps the heavier direction of a greedy cut, taken on the
 adjacency matrix or on neighbour lists as ``relation._route`` picks, and
-always returns a transitive arc set of size at least m/4.  The dicut counts
+always returns a transitive arc set of size at least m/4, loops and 2-cycles
+included: where that cut keeps fewer, a greedy that weighs each edge by its
+arcs gives the heavier direction, and every loop is kept too.  On loop-free
+input the result has no directed path of length two.  The dicut counts
 (``dicut_size``, ``forward_arcs``) and the local search run on the arcs and
 build no matrix.  All tie-breaks are deterministic, so results repeat bit for bit.
 """
@@ -19,15 +22,15 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import TriangleFoundError, _check_limit
+from .errors import _check_limit
 from .relation import (
     Relation,
     UndirectedGraph,
     _composition_walks,
     _distinct,
     _low_bits_first,
+    _require_triangle_free,
     _route,
-    find_triangle,
     underlying_graph,
 )
 
@@ -93,9 +96,15 @@ def _u_vector(r: Relation, p: VertexPartition) -> np.ndarray:
 
 
 def _crossing(u: np.ndarray, src: np.ndarray, dst: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    # Masks over the arcs: U to V, and V to U.  Loops and same-side arcs are in neither.
+    # Masks over the arcs (or, for broadcast index grids, the cells): U to V,
+    # and V to U.  Loops and same-side arcs are in neither.
     tail, head = u[src], u[dst]
     return tail & ~head, head & ~tail
+
+
+def _heavier(forward: np.ndarray, backward: np.ndarray) -> np.ndarray:
+    # The crossing mask with more arcs; ties go to the forward, U-to-V, direction.
+    return forward if np.count_nonzero(forward) >= np.count_nonzero(backward) else backward
 
 
 def dicut_size(r: Relation, p: VertexPartition) -> DicutResult:
@@ -125,10 +134,19 @@ def _greedy_sides(sym: np.ndarray) -> np.ndarray:
     return u
 
 
+def _lower_codes(n: int, a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    # The codes ``v * n + w`` (w < v) of the pairs {a, b} that are not loops,
+    # ascending; a pair given twice keeps both codes.
+    cross = a != b
+    a, b = a[cross], b[cross]
+    return np.sort(np.maximum(a, b) * n + np.minimum(a, b))
+
+
 def _greedy_sides_by_lists(n: int, edges: np.ndarray) -> list[bool]:
     # ``_greedy_sides`` over lists of lower neighbours instead of matrix rows;
-    # ``edges`` holds the distinct codes ``v * n + w`` of the edges with w < v,
-    # ascending.
+    # ``edges`` holds the ``_lower_codes`` of the edges.  An edge listed twice
+    # counts twice, so a greedy over the codes of the arcs weighs each edge
+    # by the arcs it carries.
     bounds = np.searchsorted(edges, np.arange(n + 1) * n).tolist()  # edges sort by v
     lower = (edges % n).tolist()
     side = [False] * n
@@ -146,45 +164,51 @@ def greedy_bipartition(g: UndirectedGraph) -> VertexPartition:
     with ties resolved to U.  Runs on lists of lower neighbours, with no n^2
     matrix.
     """
-    pairs = np.array(list(g.edges), dtype=np.int64).reshape(-1, 2) - 1  # u < v
-    side = _greedy_sides_by_lists(g.n, np.sort(pairs[:, 1] * g.n + pairs[:, 0]))
-    return _partition(side)
+    pairs = np.array(list(g.edges), dtype=np.int64).reshape(-1, 2) - 1
+    return _partition(_greedy_sides_by_lists(g.n, _lower_codes(g.n, pairs[:, 0], pairs[:, 1])))
 
 
 def _quarter_by_arcs(r: Relation) -> Relation:
     # ``quarter_approx`` on the arcs: the greedy cut over lists of lower
     # neighbours, then the heavier direction kept by masking the arcs.
-    n = r.n
     src, dst = r._arc_arrays()
-    cross = src != dst
-    edges = _distinct(np.maximum(src, dst)[cross] * n + np.minimum(src, dst)[cross])
-    forward, backward = _crossing(np.array(_greedy_sides_by_lists(n, edges)), src, dst)
-    keep = forward if np.count_nonzero(forward) >= np.count_nonzero(backward) else backward
-    return Relation._from_arc_arrays(n, src[keep], dst[keep])
+    edges = _distinct(_lower_codes(r.n, src, dst))
+    keep = _heavier(*_crossing(np.array(_greedy_sides_by_lists(r.n, edges)), src, dst))
+    return Relation._from_arc_arrays(r.n, src[keep], dst[keep])
 
 
 def _quarter_by_matrix(r: Relation) -> Relation:
     # ``quarter_approx`` on the matrix: the greedy cut over the rows of the
     # symmetric matrix, then the heavier direction kept by masking the cells.
     u = _greedy_sides(r.adj | r.adj.T)
-    forward = r.adj & np.outer(u, ~u)
-    backward = r.adj & np.outer(~u, u)
-    return Relation._from_matrix(forward if forward.sum() >= backward.sum() else backward)
+    cells = _crossing(u, *np.ogrid[: r.n, : r.n])
+    return Relation._from_matrix(_heavier(*(r.adj & mask for mask in cells)))
 
 
 def quarter_approx(r: Relation) -> Relation:
     """Transitive subgraph of size >= m/4: greedily bipartition the underlying
     graph, then keep every arc of the heavier direction across the cut (ties
-    go to the forward, U-to-V, direction).  The result lies within one
-    direction of a cut, so it contains no directed path of length two.
+    go to the forward, U-to-V, direction).  On loop-free input the result lies
+    within one direction of a cut, so it contains no directed path of length
+    two.
 
     The greedy runs over lower neighbour lists, keeping the heavier direction
     by masking the arcs, or on the matrix, as ``relation._route`` picks
-    (``relation._ROUTE_COSTS``).
+    (``relation._ROUTE_COSTS``).  That cut counts an edge carrying a 2-cycle
+    once and keeps no loop, so it can keep fewer than m/4 arcs.  Only then
+    does the greedy run again with each edge weighed by its arcs: that cut
+    holds at least half of the m' non-loop arcs (Sahni and Gonzalez, JACM
+    1976), so its heavier direction holds m'/4, and every loop is added.  The
+    result stays transitive, as any two-arc path in it runs through a loop
+    and its other arc is in the set.
     """
-    if _route("quarter", r) == "arcs":
-        return _quarter_by_arcs(r)
-    return _quarter_by_matrix(r)
+    out = _quarter_by_arcs(r) if _route("quarter", r) == "arcs" else _quarter_by_matrix(r)
+    if 4 * out.m >= r.m:
+        return out
+    src, dst = r._arc_arrays()
+    side = np.array(_greedy_sides_by_lists(r.n, _lower_codes(r.n, src, dst)))
+    keep = _heavier(*_crossing(side, src, dst)) | (src == dst)
+    return Relation._from_arc_arrays(r.n, src[keep], dst[keep])
 
 
 # ---------------------------------------------------------------------------
@@ -338,7 +362,6 @@ def local_search_dicut(
         out_v = np.bincount(src[side[dst] < 0], minlength=n)
         return side * (in_u - out_v)
 
-    forward = int(np.count_nonzero((side[src] > 0) & (side[dst] < 0)))
     gain = gains()
     for _ in range(max_rounds):
         v = int(np.argmax(gain))  # the first index among equal gains
@@ -349,14 +372,12 @@ def local_search_dicut(
             # The term of each arc at a neighbour w changes by side[v] * side[w].
             near = nbrs[bounds[v] : bounds[v + 1]]
             np.add.at(gain, near, side[v] * side[near])
-            forward += best
             continue
-        backward = int(np.count_nonzero((side[src] < 0) & (side[dst] > 0)))
+        forward, backward = map(np.count_nonzero, _crossing(side > 0, src, dst))
         if backward <= forward:
             break
         side = -side
         gain = gains()
-        forward = backward
     return dicut_size(r, _partition(side > 0))
 
 
@@ -364,7 +385,5 @@ def dicut_as_transitive(r: Relation, p: VertexPartition) -> Relation:
     """Forward arc set of a directed cut, valid as a transitive subgraph when
     the underlying graph is triangle-free; reports one witness triangle
     otherwise.  The result has no directed path of length two."""
-    triangle = find_triangle(underlying_graph(r))
-    if triangle is not None:
-        raise TriangleFoundError(triangle)
+    _require_triangle_free(underlying_graph(r))
     return forward_arcs(r, p)

@@ -34,7 +34,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import ParseError, _check_limit
+from .errors import ParseError, TriangleFoundError, _check_limit
 
 Arc = tuple[int, int]
 ArcList = list[Arc]
@@ -707,6 +707,14 @@ def find_triangle(g: UndirectedGraph) -> tuple[int, int, int] | None:
             w = (common & -common).bit_length() - 1  # lowest common neighbor
             return tuple(sorted((u, v, w)))  # type: ignore[return-value]
     return None
+
+
+def _require_triangle_free(g: UndirectedGraph) -> None:
+    """Raise ``TriangleFoundError`` with ``find_triangle``'s witness unless
+    ``g`` is triangle-free."""
+    triangle = find_triangle(g)
+    if triangle is not None:
+        raise TriangleFoundError(triangle)
 
 
 def is_triangle_free(g: UndirectedGraph) -> bool:

@@ -1,8 +1,20 @@
 import random
+import warnings
 
 import pytest
 
 from helpers import all_relations, random_digraph
+
+# Hypothesis reports a failing example through ``hypothesis.extra._patching``,
+# whose ``libcst`` import (when installed) can raise a DeprecationWarning; the
+# filters in pyproject.toml make that an error that aborts the whole session.
+# Import it once here, with DeprecationWarning ignored for that import only.
+with warnings.catch_warnings():
+    warnings.simplefilter("ignore", DeprecationWarning)
+    try:
+        import hypothesis.extra._patching  # noqa: F401
+    except ImportError:
+        pass
 
 
 @pytest.fixture(scope="session")

@@ -505,6 +505,28 @@ def oracle_quarter_approx(r: Relation) -> Relation:
     return Relation.from_arcs(r.n, forward if len(forward) >= len(backward) else backward)
 
 
+def oracle_weighted_quarter_approx(r: Relation) -> Relation:
+    """The m/4 fallback of ``quarter_approx``: a greedy cut in which every
+    edge weighs the arcs it carries (2 for a 2-cycle), vertices in ascending
+    order, each to the side opposite most of the weight to its placed
+    neighbors, ties to U; then every loop and the arcs of the heavier
+    direction across the cut, ties to U-to-V."""
+    weight: dict[tuple[int, int], int] = {}
+    for a, b in r.arcs():
+        if a != b:
+            edge = (min(a, b), max(a, b))
+            weight[edge] = weight.get(edge, 0) + 1
+    side: dict[int, str] = {}
+    for v in range(1, r.n + 1):
+        to_u = sum(w for (a, b), w in weight.items() if b == v and side[a] == "U")
+        to_v = sum(w for (a, b), w in weight.items() if b == v and side[a] == "V")
+        side[v] = "U" if to_v >= to_u else "V"
+    loops = [(a, b) for a, b in r.arcs() if a == b]
+    forward = [(a, b) for a, b in r.arcs() if side[a] == "U" and side[b] == "V"]
+    backward = [(a, b) for a, b in r.arcs() if side[a] == "V" and side[b] == "U"]
+    return Relation.from_arcs(r.n, loops + (forward if len(forward) >= len(backward) else backward))
+
+
 def oracle_max_transitive_size(r: Relation) -> int:
     """Maximum transitive subset size by direct subset enumeration."""
     arcs = r.arcs()

@@ -100,6 +100,21 @@ class TestMaximum:
         captured = capsys.readouterr()
         assert "size_ge_quarter:pass" in captured.err
 
+    @pytest.mark.parametrize("text, out", [
+        ("5 9\n1 4\n2 1\n2 4\n3 1\n3 2\n4 1\n4 5\n5 2\n5 4\n", "5 4\n1 4\n3 2\n5 2\n5 4\n"),
+        ("6 17\n1 3\n1 4\n1 5\n2 1\n2 6\n3 4\n3 5\n4 1\n4 5\n4 6\n5 1\n5 2\n5 3\n5 4\n"
+         "5 6\n6 3\n6 4\n", "6 7\n1 3\n1 4\n5 2\n5 3\n5 4\n6 3\n6 4\n"),
+        ("1 1\n1 1\n", "1 1\n1 1\n"),
+    ], ids=["2-cycles-n5", "2-cycles-n6", "loop"])
+    def test_quarter_floor_with_two_cycles_and_loops(self, tmp_path, capsys, text, out):
+        # the plain greedy cut keeps fewer than m/4 arcs of these inputs
+        src = tmp_path / "in.rel"
+        src.write_text(text)
+        assert main(["maximum", "--input", str(src), "--mode", "quarter", "--verify"]) == EXIT_OK
+        captured = capsys.readouterr()
+        assert captured.out == out
+        assert "size_ge_quarter:pass" in captured.err
+
     def test_dicut_local_out_star(self, tmp_path, capsys):
         src = tmp_path / "star.rel"
         src.write_text("4 3\n1 2\n1 3\n1 4\n")

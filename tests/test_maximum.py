@@ -17,6 +17,7 @@ from helpers import (
     oracle_local_search_dicut,
     oracle_max_transitive_size,
     oracle_quarter_approx,
+    oracle_weighted_quarter_approx,
     random_digraph,
     relations,
     undirected_graphs,
@@ -53,6 +54,14 @@ def rel(n, arcs):
 CYCLE3 = rel(3, [(1, 2), (2, 3), (3, 1)])
 CYCLE4 = rel(4, [(1, 2), (2, 3), (3, 4), (4, 1)])
 OUT_STAR = rel(4, [(1, 2), (1, 3), (1, 4)])
+# Inputs on which the plain greedy cut of ``quarter_approx`` keeps fewer than
+# m/4 arcs: 2-cycles (the edge counted once) and a loop (never in a cut).
+BELOW_QUARTER = {
+    "2-cycles-n5": rel(5, [(1, 4), (2, 1), (2, 4), (3, 1), (3, 2), (4, 1), (4, 5), (5, 2), (5, 4)]),
+    "2-cycles-n6": rel(6, [(1, 3), (1, 4), (1, 5), (2, 1), (2, 6), (3, 4), (3, 5), (4, 1), (4, 5),
+                           (4, 6), (5, 1), (5, 2), (5, 3), (5, 4), (5, 6), (6, 3), (6, 4)]),
+    "loop": rel(1, [(1, 1)]),
+}
 
 
 class TestBruteForceMts:
@@ -188,7 +197,28 @@ class TestQuarterApprox:
     @example(rel(3, [(1, 1), (1, 2), (2, 1), (2, 3), (3, 2), (3, 3)]))
     @example(rel(3, [(2, 1), (2, 2), (3, 1)]))  # the backward direction is heavier
     def test_matches_oracle_route(self, r):
-        assert quarter_approx(r) == oracle_quarter_approx(r)
+        # the plain greedy where it meets the m/4 floor, else the weighted fallback
+        greedy = oracle_quarter_approx(r)
+        expected = greedy if 4 * greedy.m >= r.m else oracle_weighted_quarter_approx(r)
+        assert quarter_approx(r) == expected
+
+    @pytest.mark.parametrize("name", sorted(BELOW_QUARTER))
+    def test_floor_where_the_plain_greedy_misses_it(self, name):
+        r = BELOW_QUARTER[name]
+        assert 4 * oracle_quarter_approx(r).m < r.m
+        out = quarter_approx(r)
+        assert 4 * out.m >= r.m
+        assert is_transitive(out) and is_subrelation(out, r)
+        assert out == oracle_weighted_quarter_approx(r)
+
+    @settings(max_examples=300)
+    @given(relations(max_n=8))
+    @example(BELOW_QUARTER["2-cycles-n5"])
+    @example(rel(2, [(1, 1), (1, 2), (2, 1), (2, 2)]))
+    def test_floor_with_loops_and_two_cycles(self, r):
+        out = quarter_approx(r)
+        assert 4 * out.m >= r.m
+        assert is_transitive(out) and is_subrelation(out, r)
 
     def test_arc_route_all_relations_on_three_vertices(self, suite_n3_loops):
         for r in suite_n3_loops:

@@ -1,4 +1,6 @@
+import ast
 import tracemalloc
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -1021,6 +1023,19 @@ class TestTriangleFree:
 
     def test_empty(self):
         assert is_triangle_free(UndirectedGraph.from_edges(3, []))
+
+    def test_only_the_helper_raises_triangle_errors(self):
+        package = Path(relation.__file__).parent
+        raisers = [
+            f"{path.name}:{func.name}"
+            for path in sorted(package.glob("*.py"))
+            for func in ast.walk(ast.parse(path.read_text()))
+            if isinstance(func, ast.FunctionDef)
+            for node in ast.walk(func)
+            if isinstance(node, ast.Raise) and isinstance(node.exc, ast.Call)
+            and getattr(node.exc.func, "id", None) == "TriangleFoundError"
+        ]
+        assert raisers == ["relation.py:_require_triangle_free"]
 
     @pytest.mark.parametrize("edge", [(1.5, 2), (1, 3.0), ("1", "2"), (1, "2"), (1, None), (1, 2j)])
     def test_rejects_non_integer_endpoints(self, edge):
