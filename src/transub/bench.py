@@ -13,7 +13,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .relation import Relation, _require_dense_budget, _timed, _vertex_count
+from .relation import Relation, _integer, _require_dense_budget, _timed
 
 SPARSE_MODE = "sparse"
 DENSE_MODE = "dense"
@@ -56,7 +56,7 @@ def arc_count_for(n: int, density: str) -> int:
 
 def random_relation(n: int, m: int, seed: int) -> Relation:
     """Loop-free digraph with m distinct arcs sampled without replacement."""
-    n = _vertex_count(n)
+    n = _integer(n, "vertex count")
     if n < 1:
         raise ValueError(f"vertex count must be at least 1, got {n}")
     if m > n * (n - 1):

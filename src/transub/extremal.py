@@ -10,6 +10,12 @@ reports the observations against two reference bounds: the m/4 floor and a
 configurable upper bound of the form m/2 + cprime * m^(4/5).  The upper bound
 is reported, never asserted.
 
+Every orientation crosses a cut with the same edges, so a cut's total
+(forward plus backward) is a fact of the graph.  The experiment turns the
+totals of its first trial into one limit per cut: the largest imbalance that
+the balance rule accepts at that total, or -1 for a cut below k.  Each trial
+then counts the cuts whose imbalance is within their limit.
+
 Per-trial seeds are derived from ``(master seed, trial index)`` with a
 splitmix-style mixer, so trials are independent streams yet byte-for-byte
 reproducible; trials may run in any order and reports are merged by index.
@@ -24,7 +30,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .maximum import VertexPartition, _require_cut_budget, dicut_size, forward_cut_table
-from .relation import Relation, UndirectedGraph, _require_triangle_free, _vertex_count
+from .relation import Relation, UndirectedGraph, _integer, _require_triangle_free
 
 _MASK64 = (1 << 64) - 1
 _GOLDEN_GAMMA = 0x9E3779B97F4A7C15
@@ -109,31 +115,41 @@ def check_delta_balanced(r: Relation, p: VertexPartition, delta: float) -> Balan
     return balance_verdict(d.forward, d.backward, delta)
 
 
-# Masks scanned at once by ``_balanced_fraction``: 128 KiB per int16
-# temporary, 512 KiB for the float64 bound.
-_SCAN_BLOCK = 1 << 16
-
-
-def _balanced_fraction(adj: np.ndarray, k: int, delta: float) -> float:
-    """Fraction of the cuts of total size >= k that are delta-balanced, 1.0
-    when there is none; one representative per unordered bipartition (the
-    side masks with vertex 1 in U).  The two halves are scanned in blocks of
-    ``_SCAN_BLOCK`` masks, so no temporary spans a whole half."""
+def _cut_halves(adj: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """The forward and the backward count of every cut, as int16, one per
+    unordered bipartition (the side masks with vertex 1 in U)."""
     # Each half is copied out as int16 and its int32 table freed before the
     # next is built, so at most one table is alive.  int16 is exact: a cut
     # (U, V) has at most |U| * |V| <= 100 arcs each way within the 20-vertex
     # limit, so a total is at most 200.
-    forward = forward_cut_table(adj)[1::2].astype(np.int16)
-    backward = forward_cut_table(adj.T)[1::2].astype(np.int16)
-    count = balanced = 0
-    for start in range(0, len(forward), _SCAN_BLOCK):
-        block = slice(start, start + _SCAN_BLOCK)
-        f, b = forward[block], backward[block]
-        totals = f + b
-        large = totals >= k
-        count += np.count_nonzero(large)
-        balanced += np.count_nonzero(large & _balanced(np.abs(f - b), totals, delta))
-    return balanced / count if count else 1.0
+    return tuple(forward_cut_table(a)[1::2].astype(np.int16) for a in (adj, adj.T))
+
+
+def _balance_limits(totals: np.ndarray, k: int, delta: float) -> tuple[np.ndarray, int]:
+    """Per cut, the largest imbalance at which a cut of its total is
+    delta-balanced, or -1 when the total is below k; and the number of cuts
+    of total at least k."""
+    # ``_balanced`` itself is evaluated on every pair (imbalance, total) up to
+    # the largest total, so the rule stays stated once.  At each total it
+    # holds from imbalance 0 up to the limit and for no larger imbalance, so
+    # the limit is the number of imbalances it holds for, less one.
+    sizes = np.arange(int(totals.max()) + 1, dtype=np.int16)
+    largest = np.count_nonzero(_balanced(sizes, sizes[:, None], delta), axis=1) - 1
+    limits = np.where(sizes >= k, largest, -1).astype(np.int16)[totals]
+    return limits, np.count_nonzero(limits >= 0)
+
+
+def _fraction(forward: np.ndarray, backward: np.ndarray, limits: np.ndarray, large: int) -> float:
+    """The share of the ``large`` cuts whose imbalance is within its limit, 1.0
+    when ``large`` is 0."""
+    return np.count_nonzero(np.abs(forward - backward) <= limits) / large if large else 1.0
+
+
+def _balanced_fraction(adj: np.ndarray, k: int, delta: float) -> float:
+    """Fraction of the cuts of total size >= k that are delta-balanced, 1.0
+    when there is none; one representative per unordered bipartition."""
+    forward, backward = _cut_halves(adj)
+    return _fraction(forward, backward, *_balance_limits(forward + backward, k, delta))
 
 
 def check_k_delta_balanced(r: Relation, k: int, delta: float) -> bool:
@@ -151,9 +167,7 @@ def random_orientation(g: UndirectedGraph, seed: int) -> Relation:
     direction.  The same seed always reproduces the same orientation.
     """
     rng = random.Random(seed)
-    arcs = []
-    for u, v in g.sorted_edges():
-        arcs.append((u, v) if rng.getrandbits(1) else (v, u))
+    arcs = [(u, v) if rng.getrandbits(1) else (v, u) for u, v in g.sorted_edges()]
     return Relation.from_arcs(g.n, arcs)
 
 
@@ -161,12 +175,12 @@ def random_triangle_free_graph(n: int, m: int, seed: int) -> UndirectedGraph:
     """Random balanced bipartite graph on n vertices with m edges, which is
     triangle-free by construction.  Left part is {1..ceil(n/2)}; m distinct
     cross pairs are sampled without replacement from the seeded stream."""
-    n = _vertex_count(n)
+    n = _integer(n, "vertex count")
     if n < 1:
         raise ValueError("vertex count must be at least 1")
     left = (n + 1) // 2
     capacity = left * (n - left)
-    if m < 0:
+    if _integer(m, "edge count") < 0:
         raise ValueError(f"edge count must be non-negative, got {m}")
     if m > capacity:
         raise ValueError(f"{m} edges exceeds the bipartite capacity {capacity}")
@@ -189,7 +203,7 @@ def run_balance_experiment(
 ) -> list[TrialReport]:
     """Orient ``g`` once per trial and report exact max dicut plus the
     fraction of size->=k cuts that are delta-balanced."""
-    if trials < 1:
+    if _integer(trials, "trials") < 1:
         raise ValueError(f"trials must be at least 1, got {trials}")
     _check_delta(delta)
     if math.isnan(cprime):
@@ -202,9 +216,11 @@ def run_balance_experiment(
     reports = []
     for t in range(trials):
         trial_seed = mix_seed(seed, t)
-        oriented = random_orientation(g, trial_seed)
-        max_dicut = int(forward_cut_table(oriented.adj).max())
-        fraction = _balanced_fraction(oriented.adj, k, delta)
+        adj = random_orientation(g, trial_seed).adj
+        max_dicut = int(forward_cut_table(adj).max())
+        forward, backward = _cut_halves(adj)
+        if not t:  # every orientation crosses each cut with the same edges
+            limits, large = _balance_limits(forward + backward, k, delta)
         reports.append(
             TrialReport(
                 seed=trial_seed,
@@ -213,9 +229,10 @@ def run_balance_experiment(
                 max_dicut=max_dicut,
                 bound_m4=bound_m4,
                 bound_upper=bound_upper,
-                balanced_fraction=fraction,
+                balanced_fraction=_fraction(forward, backward, limits, large),
             )
         )
+        del forward, backward  # freed before the next trial's tables are built
     return reports
 
 

@@ -56,7 +56,7 @@ _CODED_VERTEX_LIMIT = 3037000499
 class Relation:
     """A binary relation on ``{1..n}``; arcs are 1-based ``(source, target)`` pairs."""
 
-    __slots__ = ("_n", "_m", "_adj", "_src", "_dst")
+    __slots__ = ("_n", "_m", "_adj", "_src", "_dst", "_deg")
 
     def __init__(self, adj) -> None:
         arr = np.array(adj, dtype=bool)
@@ -65,14 +65,14 @@ class Relation:
         if arr.shape[0] < 1:
             raise ValueError("vertex count must be at least 1")
         self._n, self._m, self._adj = arr.shape[0], int(np.count_nonzero(arr)), _frozen(arr)
-        self._src = self._dst = None
+        self._src = self._dst = self._deg = None
 
     @classmethod
     def _from_matrix(cls, adj: np.ndarray) -> "Relation":
         """Freeze a square boolean matrix that only its caller built; no copy."""
         r = cls.__new__(cls)
         r._n, r._m, r._adj = adj.shape[0], int(np.count_nonzero(adj)), _frozen(adj)
-        r._src = r._dst = None
+        r._src = r._dst = r._deg = None
         return r
 
     @classmethod
@@ -82,7 +82,7 @@ class Relation:
             raise ValueError("vertex count must be at least 1")
         r = cls.__new__(cls)
         r._n, r._m, r._adj = n, len(src), None
-        r._src, r._dst = _frozen(src), _frozen(dst)
+        r._src, r._dst, r._deg = _frozen(src), _frozen(dst), None
         return r
 
     @classmethod
@@ -109,17 +109,22 @@ class Relation:
         return self._src, self._dst
 
     def _degrees(self) -> tuple[np.ndarray, np.ndarray]:
-        """(out-degree, in-degree) of every vertex.  They are counted on the
-        arc view, built if missing, when it is held or no larger than the
-        matrix, as counting on it is cheaper; otherwise on the matrix."""
+        """Read-only (out-degree, in-degree) of every vertex, counted once.
+        They are counted on the arc view, built if missing, when it is held
+        or no larger than the matrix, as counting on it is cheaper; otherwise
+        on the matrix."""
         # The view is two int64 arrays, 16 bytes per arc; the matrix one byte
         # per cell.  Summing its uint8 view into int32 took half the time of
         # ``count_nonzero(axis=...)`` at n=2000, m=n^2/4.
-        if self._src is None and 16 * self._m > self._n * self._n:
-            cells = self._adj.view(np.uint8)
-            return cells.sum(axis=1, dtype=np.int32), cells.sum(axis=0, dtype=np.int32)
-        src, dst = self._arc_arrays()
-        return np.bincount(src, minlength=self._n), np.bincount(dst, minlength=self._n)
+        if self._deg is None:
+            if self._src is None and 16 * self._m > self._n * self._n:
+                cells = self._adj.view(np.uint8)
+                deg = cells.sum(axis=1, dtype=np.int32), cells.sum(axis=0, dtype=np.int32)
+            else:
+                src, dst = self._arc_arrays()
+                deg = np.bincount(src, minlength=self._n), np.bincount(dst, minlength=self._n)
+            self._deg = tuple(map(_frozen, deg))
+        return self._deg
 
     @property
     def n(self) -> int:
@@ -141,7 +146,7 @@ class Relation:
         that is not an integer: floats and strings are not converted.
         ValueError for a vertex count that is not an integer or exceeds
         ``_CODED_VERTEX_LIMIT``."""
-        n = _vertex_count(n)
+        n = _integer(n, "vertex count")
         if n > _CODED_VERTEX_LIMIT:
             raise ValueError(
                 f"{n} vertices exceeds {_CODED_VERTEX_LIMIT}, the most whose cell codes fit int64"
@@ -190,12 +195,12 @@ class Relation:
         return f"Relation(n={self.n}, m={self.m})"
 
 
-def _vertex_count(n) -> int:
-    """``n`` as an int; ValueError unless it is an integer."""
+def _integer(value, name: str) -> int:
+    """``value`` as an int; ValueError naming it unless it is an integer."""
     try:
-        return operator.index(n)
+        return operator.index(value)
     except TypeError:
-        raise ValueError(f"vertex count must be an integer, got {n!r}") from None
+        raise ValueError(f"{name} must be an integer, got {value!r}") from None
 
 
 def _endpoints(u, v) -> tuple[int, int]:
@@ -250,7 +255,7 @@ class UndirectedGraph:
     edges: frozenset[Arc]
 
     def __post_init__(self):
-        if _vertex_count(self.n) < 1:
+        if _integer(self.n, "vertex count") < 1:
             raise ValueError("vertex count must be at least 1")
         for u, v in self.edges:
             _endpoints(u, v)

@@ -10,6 +10,7 @@ from hypothesis import strategies as st
 from helpers import (
     ordered_pairs,
     oracle_balanced_fraction,
+    oracle_forward_counts,
     oracle_random_triangle_free_graph,
     random_digraph,
     relations,
@@ -185,22 +186,22 @@ class TestKDeltaBalanced:
         assert extremal._balanced_fraction(r.adj, k, delta) == expected
         assert check_k_delta_balanced(r, k, delta) == (expected == 1.0)
 
-    @pytest.mark.parametrize("block", [1, 3, 8192])
+    @pytest.mark.parametrize("swap_seed", [1, 3, 8192])
     @settings(max_examples=40, deadline=None)
     @given(data=st.data())
-    def test_blocked_scan_matches_oracle(self, block, data):
-        # Blocks of 1 and 3 masks put block boundaries inside small tables;
-        # 8192 masks exceed the 4096 of n = 12, so one block spans the table,
-        # as the default block does here.  The default block size itself is
-        # crossed in test_blocked_scan_over_many_default_blocks.
-        self._check_blocked_scan(data, block, st.integers(2, 12), max_arcs=30)
+    def test_blocked_scan_matches_oracle(self, swap_seed, data):
+        # The limit scan against the oracle at the values of k and delta
+        # where a verdict turns, on 2 to 2048 bipartitions.  The limits are
+        # also built from a twin relation with the same cut totals, as an
+        # experiment builds them from its first orientation.
+        self._check_scan(data, st.integers(2, 12), max_arcs=30, swap_seed=swap_seed)
 
     @settings(max_examples=5, deadline=None)
     @given(data=st.data())
     def test_blocked_scan_over_many_default_blocks(self, data):
-        # n = 18 to 20: 2 to 8 blocks of the default size; few arcs keep the
-        # oracle's Python loop over 2^n masks short.
-        self._check_blocked_scan(data, extremal._SCAN_BLOCK, st.integers(18, 20), max_arcs=4)
+        # n = 18 to 20, the largest tables; few arcs keep the oracle's Python
+        # loop over 2^n masks short.
+        self._check_scan(data, st.integers(18, 20), max_arcs=4)
 
     def test_one_cut_table_alive_at_a_time(self):
         # At n=20 a cut table is 4 MiB of int32.  Each half is copied out as
@@ -218,15 +219,22 @@ class TestKDeltaBalanced:
         assert peak < 2 * 4 * 2**20, f"{peak / 2**20:.1f} MiB"
 
     @staticmethod
-    def _check_blocked_scan(data, block, sizes, max_arcs):
+    def _check_scan(data, sizes, max_arcs, swap_seed=None):
         n = data.draw(sizes)
         r = rel(n, data.draw(st.lists(st.sampled_from(ordered_pairs(n, True)), max_size=max_arcs)))
         delta = data.draw(st.sampled_from([0.0, 0.5, 2.0, math.inf]))
         k = data.draw(st.sampled_from([0, -(-r.m // 4), r.m + 1]))
-        with pytest.MonkeyPatch.context() as mp:
-            mp.setattr(extremal, "_SCAN_BLOCK", block)
-            got = extremal._balanced_fraction(r.adj, k, delta)
-        assert got == oracle_balanced_fraction(r, k, delta)
+        expected = oracle_balanced_fraction(r, k, delta)
+        assert extremal._balanced_fraction(r.adj, k, delta) == expected
+        if swap_seed is not None:
+            # Swapping adj[u, v] with adj[v, u] on a random set of pairs
+            # keeps every cut's forward + backward total.
+            swap = np.triu(np.random.default_rng(swap_seed).random((n, n)) < 0.5, 1)
+            twin = np.where(swap | swap.T, r.adj.T, r.adj)
+            twin_forward, twin_backward = extremal._cut_halves(twin)
+            limits, large = extremal._balance_limits(twin_forward + twin_backward, k, delta)
+            forward, backward = extremal._cut_halves(r.adj)
+            assert extremal._fraction(forward, backward, limits, large) == expected
 
     def test_matches_explicit_enumeration(self):
         rng = random.Random(23)
@@ -267,6 +275,11 @@ class TestRandomTriangleFreeGraph:
     def test_rejects_non_integer_vertex_counts(self, n):
         with pytest.raises(ValueError, match="^vertex count must be an integer, got "):
             random_triangle_free_graph(n, 2, 0)
+
+    @pytest.mark.parametrize("m", [2.5, 2.0, "3", None])
+    def test_rejects_non_integer_edge_counts(self, m):
+        with pytest.raises(ValueError, match="^edge count must be an integer, got "):
+            random_triangle_free_graph(4, m, 0)
 
     def test_capacity_error(self):
         with pytest.raises(ValueError, match="capacity"):
@@ -365,6 +378,46 @@ class TestBalanceExperiment:
         g = UndirectedGraph.from_edges(2, [(1, 2)])
         with pytest.raises(ValueError, match="trials"):
             run_balance_experiment(g, 0, 1, 0.5, 0, 1.0)
+
+    @pytest.mark.parametrize("trials", [2.5, 2.0, "3", None])
+    def test_rejects_non_integer_trial_counts(self, trials):
+        g = UndirectedGraph.from_edges(2, [(1, 2)])
+        with pytest.raises(ValueError, match="^trials must be an integer, got "):
+            run_balance_experiment(g, trials, 1, 0.5, 0, 1.0)
+
+    def test_takes_a_real_k(self):
+        # Cut totals are integers, so k = 6.5 selects the cuts k = 7 does.
+        g = random_triangle_free_graph(10, 25, 0)
+        assert run_balance_experiment(g, 4, 6.5, 0.5, 1, 1.0) == \
+            run_balance_experiment(g, 4, 7, 0.5, 1, 1.0)
+
+    @settings(max_examples=60, deadline=None)
+    @given(st.integers(1, 12), st.data())
+    def test_orientations_share_cut_totals(self, n, data):
+        # The limits of a whole experiment are built from its first trial.
+        m = data.draw(st.integers(0, ((n + 1) // 2) * (n // 2)))
+        g = random_triangle_free_graph(n, m, data.draw(st.integers(0, 2**32)))
+        seeds = data.draw(st.lists(st.integers(0, 2**64 - 1), min_size=2, max_size=2))
+        totals = [sum(extremal._cut_halves(random_orientation(g, s).adj)) for s in seeds]
+        crossing = [sum(((mask >> (u - 1)) ^ (mask >> (v - 1))) & 1 for u, v in g.edges)
+                    for mask in range(1, 1 << n, 2)]
+        assert totals[0].tolist() == totals[1].tolist() == crossing
+
+    @pytest.mark.parametrize("delta", [0.0, 0.5, 2.0, math.inf])
+    @settings(max_examples=15, deadline=None)
+    @given(data=st.data())
+    def test_each_trial_matches_the_oracles(self, delta, data):
+        n = data.draw(st.integers(1, 10))
+        m = data.draw(st.integers(0, ((n + 1) // 2) * (n // 2)))
+        g = random_triangle_free_graph(n, m, data.draw(st.integers(0, 2**32)))
+        k = data.draw(st.sampled_from([-1, -(-m // 4), m + 1]))
+        seed = data.draw(st.integers(0, 2**32))
+        reports = run_balance_experiment(g, 4, k, delta, seed, 1.0)
+        for t, report in enumerate(reports):
+            r = random_orientation(g, mix_seed(seed, t))
+            assert report.seed == mix_seed(seed, t)
+            assert report.balanced_fraction == oracle_balanced_fraction(r, k, delta)
+            assert report.max_dicut == max(oracle_forward_counts(r))
 
     def test_balanced_fraction_definition(self):
         # single edge: the only nontrivial cut has imbalance 1 = total

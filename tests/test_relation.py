@@ -23,6 +23,7 @@ from helpers import (
     wide_matrix,
 )
 from transub import relation
+from transub.cli import _check_verdicts
 from transub import (
     DENSE_VERTEX_BUDGET,
     BudgetError,
@@ -1085,6 +1086,35 @@ class TestWalkCount:
         n = 2000  # W = n^3 = 8e9; an int32 dot gives -589934592
         adj = np.ones((n, n), dtype=bool)
         assert self.counts(adj) == [self.python_sum(adj)] * 2 == [n**3] * 2
+
+
+class TestDegrees:
+    """``Relation._degrees`` counts once and keeps read-only arrays, whether
+    the relation holds its matrix or its arcs."""
+
+    @staticmethod
+    def views(r):
+        return Relation(r.adj), Relation._from_arc_arrays(r.n, *np.nonzero(r.adj))
+
+    @given(relations())
+    def test_second_call_returns_the_same_read_only_arrays(self, r):
+        for copy in self.views(r):
+            first = copy._degrees()
+            assert all(a is b for a, b in zip(copy._degrees(), first))
+            assert not any(a.flags.writeable for a in first)
+            assert [a.tolist() for a in first] == \
+                [r.adj.sum(axis=1).tolist(), r.adj.sum(axis=0).tolist()]
+
+    @given(relations())
+    def test_check_verdicts_on_both_views(self, r):
+        arcs = r.arcs()
+        expected = [
+            ("transitive", oracle_is_transitive(r)),
+            ("path_length_two", any(b == c for _, b in arcs for c, _ in arcs)),
+        ]
+        for copy in self.views(r):
+            # the second call finds the degrees of the first
+            assert _check_verdicts(copy, None) == _check_verdicts(copy, None) == (expected, r.m)
 
 
 class TestPathLengthTwo:
