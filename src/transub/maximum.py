@@ -31,6 +31,7 @@ from .relation import (
     _low_bits_first,
     _require_triangle_free,
     _route,
+    _subset_sums,
     underlying_graph,
 )
 
@@ -282,27 +283,25 @@ def forward_cut_table(adj: np.ndarray) -> np.ndarray:
         T[mask | 1 << v] = T[mask] + out(v) - sum(w[v, u] for u in mask)
 
     for every mask over the vertices below v, where ``w = A + A^T`` without
-    the diagonal.  The sum for all masks is itself built by doubling, in place
-    in the half of the table it feeds.  About 2 * 2^n int32 additions, with no
-    float array and no matrix product.  More than ``DEFAULT_VERTEX_BUDGET``
-    vertices raise ``BudgetError`` before the table is allocated; the routines
-    that build the matrix for it check the same limit before the matrix.
+    the diagonal.  The sum for all masks is itself built by doubling
+    (``relation._subset_sums``), in place in the half of the table it feeds.
+    About 2 * 2^n int32 additions, with no float array and no matrix
+    product.  More than ``DEFAULT_VERTEX_BUDGET`` vertices raise
+    ``BudgetError`` before the table is allocated; the routines that build
+    the matrix for it check the same limit before the matrix.
     """
     n = adj.shape[0]
     _require_cut_budget(n)
-    a = adj.astype(np.int32)
-    np.fill_diagonal(a, 0)
+    a = adj.astype(np.int32) * ~np.eye(n, dtype=bool)  # no loop in w or out
     w = a + a.T
     out = a.sum(axis=1)
     table = np.empty(1 << n, dtype=np.int32)
     table[0] = 0  # the doubling writes every other entry
     for v in range(n):
-        size = 1 << v
-        half = table[size : 2 * size]
+        half = table[1 << v : 2 << v]
         half[0] = -out[v]  # half[mask] becomes sum(w[v, u] for u in mask) - out(v)
-        for k in range(v):
-            np.add(half[: 1 << k], w[v, k], out=half[1 << k : 2 << k])
-        np.subtract(table[:size], half, out=half)
+        _subset_sums(w[v, :v], half)
+        np.subtract(table[: 1 << v], half, out=half)
     return table
 
 

@@ -233,6 +233,17 @@ def _timed(fn, *args, **kwargs):
     return value, time.perf_counter_ns() - start
 
 
+def _subset_sums(weights, sums: np.ndarray) -> np.ndarray:
+    """Fill ``sums[mask]`` with ``sums[0]`` plus ``weights[k]`` for each bit k
+    set in ``mask``, by doubling: the masks with top bit k are those below it
+    plus ``weights[k]``.  ``len(sums)`` is ``1 << len(weights)``; one addition
+    per entry.  The subset-sum rule of both exhaustive searches: per-vertex
+    sums of the cut table and true counts of the max-ones search."""
+    for k, weight in enumerate(weights):
+        np.add(sums[: 1 << k], weight, out=sums[1 << k : 2 << k])
+    return sums
+
+
 def _low_bits_first(masks: np.ndarray, n: int) -> int:
     """The one of the distinct ``masks`` that has bit 0 set if any of them
     has, then bit 1 among those left, and so on through bit n - 1: the

@@ -14,6 +14,18 @@ even in the presence of loops and 2-cycles.
 Every emitted clause keeps at least one negative literal, so the all-false
 assignment always satisfies the formula.  A relation with more than
 ``_WALK_BUDGET`` two-arc walks is refused before any walk is enumerated.
+
+``satisfies`` (and with it ``decode_assignment``) and ``max_ones_brute_force``
+read a formula through one clause rule, ``_clause_masks``: each clause becomes
+the bit masks ``pos`` and ``neg`` of its positive and negative variables (bit
+v - 1 for variable v), and an assignment mask violates it exactly when
+``mask & (pos | neg) == neg``.  A clause with some variable both ways holds
+for every mask and is skipped.  A literal 0, or one whose variable is past
+``num_vars``, raises ValueError naming the clause and the literal;
+``cnf_to_dimacs`` writes the clauses as they are.  The max-ones search tests
+all 2^v masks with one masked comparison per clause and counts true variables
+per mask by ``relation._subset_sums``, the doubling that builds the cut table
+of ``maximum``.
 """
 
 from __future__ import annotations
@@ -23,7 +35,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .errors import _check_limit
-from .relation import Arc, Relation, _composition_walks, _low_bits_first, _walk_count
+from .relation import Arc, Relation, _composition_walks, _low_bits_first, _subset_sums, _walk_count
 
 MAX_ONES_VAR_BUDGET = 24
 
@@ -74,17 +86,31 @@ def cnf_to_dimacs(f: CnfFormula) -> str:
     return "\n".join(lines) + "\n"
 
 
+def _clause_masks(f: CnfFormula) -> list[tuple[int, int]]:
+    """``(pos, neg)`` bit masks of each clause's positive and negative
+    variables, skipping clauses that hold a variable both ways."""
+    pairs = []
+    for index, clause in enumerate(f.clauses, start=1):
+        bits = [0, 0]  # of the positive, then of the negative literals
+        for lit in clause:
+            if not 1 <= abs(lit) <= f.num_vars:
+                raise ValueError(
+                    f"clause {index} {clause} has literal {lit}, "
+                    f"which names no variable of 1..{f.num_vars}"
+                )
+            bits[lit < 0] |= 1 << (abs(lit) - 1)
+        if not bits[0] & bits[1]:
+            pairs.append(tuple(bits))
+    return pairs
+
+
 def satisfies(f: CnfFormula, a: Assignment) -> bool:
     if len(a.values) != f.num_vars:
         raise ValueError(
             f"assignment has {len(a.values)} values, formula has {f.num_vars} variables"
         )
-    for clause in f.clauses:
-        if not any(
-            a.values[lit - 1] if lit > 0 else not a.values[-lit - 1] for lit in clause
-        ):
-            return False
-    return True
+    mask = sum(1 << i for i, value in enumerate(a.values) if value)
+    return all(mask & (pos | neg) != neg for pos, neg in _clause_masks(f))
 
 
 def decode_assignment(r: Relation, f: CnfFormula, a: Assignment) -> Relation:
@@ -107,18 +133,11 @@ def max_ones_brute_force(f: CnfFormula) -> tuple[Assignment, int]:
     _check_limit(v, MAX_ONES_VAR_BUDGET, "{} variables exceeds the enumeration budget")
     masks = np.arange(1 << v, dtype=np.uint32)
     sat = np.ones(masks.shape, dtype=bool)
-    for clause in f.clauses:
-        hit = np.zeros(masks.shape, dtype=bool)
-        for lit in clause:
-            bit = (masks >> (abs(lit) - 1)) & 1
-            hit |= (bit == 1) if lit > 0 else (bit == 0)
-        sat &= hit
+    for pos, neg in _clause_masks(f):
+        sat &= (masks & (pos | neg)) != neg
     if not sat.any():
         raise ValueError("formula is unsatisfiable")
-    ones = np.zeros(masks.shape, dtype=np.int8)
-    for shift in range(v):
-        ones += ((masks >> shift) & 1).astype(np.int8)
+    ones = _subset_sums([1] * v, np.zeros(masks.shape, dtype=np.int8))
     best = int(ones[sat].max())
     winner = _low_bits_first(masks[sat & (ones == best)], v)
-    values = tuple(bool((winner >> shift) & 1) for shift in range(v))
-    return Assignment(values), best
+    return Assignment(tuple(bool((winner >> shift) & 1) for shift in range(v))), best

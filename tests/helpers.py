@@ -12,6 +12,7 @@ the matrix or by float32 side-bit products, the balance scan by the direct
 formula per bipartition, the underlying graph by the upper triangle of the
 symmetrized matrix, the local search by a rescan of every vertex each round,
 the greedy cut by neighbor sets, CNF clauses by a scan over every cell triple,
+clause checks and the max-ones search literal by literal,
 the matrix format by a per-cell join, the exhaustive tie-breaks by one key
 per mask.  They are the second route of every dual-route check.
 """
@@ -26,7 +27,10 @@ from hypothesis import strategies as st
 
 from transub import (
     DENSE_VERTEX_BUDGET,
+    MAX_ONES_VAR_BUDGET,
+    Assignment,
     BudgetError,
+    CnfFormula,
     DicutResult,
     MaximalTrace,
     ParseError,
@@ -34,7 +38,8 @@ from transub import (
     UndirectedGraph,
     VertexPartition,
 )
-from transub.relation import Arc
+from transub.errors import _check_limit
+from transub.relation import Arc, _low_bits_first
 
 
 # ---------------------------------------------------------------------------
@@ -562,6 +567,44 @@ def oracle_mts_clauses(r: Relation) -> list[list[int]]:
     return clauses
 
 
+def oracle_satisfies(f: CnfFormula, a: Assignment) -> bool:
+    """Clause by clause and literal by literal, on the truth values."""
+    if len(a.values) != f.num_vars:
+        raise ValueError(
+            f"assignment has {len(a.values)} values, formula has {f.num_vars} variables"
+        )
+    for clause in f.clauses:
+        if not any(
+            a.values[lit - 1] if lit > 0 else not a.values[-lit - 1] for lit in clause
+        ):
+            return False
+    return True
+
+
+def oracle_max_ones_brute_force(f: CnfFormula) -> tuple[Assignment, int]:
+    """The max-ones search with one shift, compare and OR per literal per
+    mask, and true counts by v shift passes."""
+    v = f.num_vars
+    _check_limit(v, MAX_ONES_VAR_BUDGET, "{} variables exceeds the enumeration budget")
+    masks = np.arange(1 << v, dtype=np.uint32)
+    sat = np.ones(masks.shape, dtype=bool)
+    for clause in f.clauses:
+        hit = np.zeros(masks.shape, dtype=bool)
+        for lit in clause:
+            bit = (masks >> (abs(lit) - 1)) & 1
+            hit |= (bit == 1) if lit > 0 else (bit == 0)
+        sat &= hit
+    if not sat.any():
+        raise ValueError("formula is unsatisfiable")
+    ones = np.zeros(masks.shape, dtype=np.int8)
+    for shift in range(v):
+        ones += ((masks >> shift) & 1).astype(np.int8)
+    best = int(ones[sat].max())
+    winner = _low_bits_first(masks[sat & (ones == best)], v)
+    values = tuple(bool((winner >> shift) & 1) for shift in range(v))
+    return Assignment(values), best
+
+
 def cut_edge_count(g: UndirectedGraph, u_vertices: set[int]) -> int:
     return sum(1 for a, b in g.edges if (a in u_vertices) != (b in u_vertices))
 
@@ -577,6 +620,24 @@ def relations(draw, max_n: int = 6, loops: bool = True) -> Relation:
     pairs = ordered_pairs(n, loops)
     chosen = draw(st.lists(st.sampled_from(pairs), max_size=len(pairs))) if pairs else []
     return Relation.from_arcs(n, chosen)
+
+
+@st.composite
+def cnf_formulas(draw, max_vars: int = 12) -> CnfFormula:
+    """Formulas over 0..max_vars variables with valid literals.  Repeated
+    literals and clauses that hold a variable both ways come up among the
+    drawn clauses, and the clause list may be empty; one more draw may add a
+    tautology, a variable forced both ways or the empty clause, the last two
+    unsatisfiable."""
+    v = draw(st.integers(min_value=0, max_value=max_vars))
+    if not v:
+        return CnfFormula(0, draw(st.lists(st.just([]), max_size=2)))
+    literal = st.integers(min_value=1, max_value=v).flatmap(lambda x: st.sampled_from((x, -x)))
+    clauses = draw(st.lists(st.lists(literal, min_size=1, max_size=4), max_size=12))
+    x = draw(literal)
+    # nothing, a tautology, a variable forced both ways or the empty clause
+    clauses += draw(st.sampled_from(([], [[x, -x, x]], [[x], [-x]], [[]])))
+    return CnfFormula(v, clauses)
 
 
 @st.composite

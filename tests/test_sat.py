@@ -1,13 +1,17 @@
 import itertools
 import random
+import re
 
 import pytest
-from hypothesis import given
+from hypothesis import given, settings
 
 from helpers import (
     all_relations,
+    cnf_formulas,
     oracle_is_transitive,
+    oracle_max_ones_brute_force,
     oracle_mts_clauses,
+    oracle_satisfies,
     random_digraph,
     relations,
 )
@@ -216,3 +220,77 @@ class TestRoundTripExhaustive:
             r = Relation.from_arcs(n, rng.sample(pairs, m))
             _, count = max_ones_brute_force(encode_mts_to_cnf(r))
             assert count == brute_force_mts(r).m
+
+
+def outcome(fn, *args):
+    """The value of ``fn(*args)``, or the type and message of the ValueError
+    it raised (``BudgetError`` included)."""
+    try:
+        return fn(*args)
+    except ValueError as exc:
+        return type(exc), str(exc)
+
+
+class TestAgainstLiteralOracles:
+    """The clause masks against the checks and the search literal by literal."""
+
+    @settings(max_examples=200, deadline=None)
+    @given(cnf_formulas())
+    def test_max_ones_matches_oracle(self, f):
+        assert outcome(max_ones_brute_force, f) == outcome(oracle_max_ones_brute_force, f)
+
+    @settings(deadline=None)
+    @given(relations(max_n=5))
+    def test_max_ones_matches_oracle_on_encodings(self, r):
+        f = encode_mts_to_cnf(r)
+        assert outcome(max_ones_brute_force, f) == outcome(oracle_max_ones_brute_force, f)
+
+    @staticmethod
+    def check_every_assignment(f):
+        for bits in itertools.product((False, True), repeat=f.num_vars):
+            a = Assignment(bits)
+            assert satisfies(f, a) == oracle_satisfies(f, a)
+        short = Assignment((True,) * (f.num_vars + 1))
+        assert outcome(satisfies, f, short) == outcome(oracle_satisfies, f, short)
+
+    @settings(deadline=None)
+    @given(cnf_formulas(max_vars=8))
+    def test_satisfies_matches_oracle_on_every_assignment(self, f):
+        self.check_every_assignment(f)
+
+    @settings(deadline=None)
+    @given(relations(max_n=3))
+    def test_satisfies_matches_oracle_on_encodings(self, r):
+        self.check_every_assignment(encode_mts_to_cnf(r))
+
+
+def no_variable(clause, index, lit, v):
+    """The message of a literal that names no variable, as a whole-match pattern."""
+    message = f"clause {index} {clause} has literal {lit}, which names no variable of 1..{v}"
+    return f"^{re.escape(message)}$"
+
+
+class TestInvalidLiterals:
+    """A literal 0 or past the variable count raises ValueError naming the
+    clause and the literal, in every function that reads clauses."""
+
+    def test_literal_zero_in_satisfies(self):
+        f = CnfFormula(2, [[0]])
+        for bits in itertools.product((False, True), repeat=2):
+            with pytest.raises(ValueError, match=no_variable([0], 1, 0, 2)):
+                satisfies(f, Assignment(bits))
+
+    def test_literal_zero_in_max_ones(self):
+        with pytest.raises(ValueError, match=no_variable([2, 0], 2, 0, 2)):
+            max_ones_brute_force(CnfFormula(2, [[1, -2], [2, 0]]))
+
+    @pytest.mark.parametrize("lit", [-3, 3])
+    def test_literal_past_the_variables(self, lit):
+        f = CnfFormula(2, [[lit]], {1: (1, 2), 2: (2, 3)})
+        message = no_variable([lit], 1, lit, 2)
+        with pytest.raises(ValueError, match=message):
+            max_ones_brute_force(f)
+        with pytest.raises(ValueError, match=message):
+            satisfies(f, Assignment((True, True)))
+        with pytest.raises(ValueError, match=message):
+            decode_assignment(PATH, f, Assignment((True, True)))
