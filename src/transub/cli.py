@@ -3,8 +3,9 @@
 Subcommands: maximal, maximum, closure, check, encode, experiment, bench.
 Result relations go to --output (default stdout) in the input's format; run
 reports go to stderr as single-line records, or as JSON with --json.  Output
-is deterministic given (input bytes, flags, seed); wall times are the only
-nondeterministic fields and are excluded from any byte-stability guarantee.
+is deterministic given (input bytes, flags, seed); wall times, in the run
+reports and in the output of ``bench``, are the only nondeterministic fields
+and are excluded from any byte-stability guarantee.
 
 Exit statuses: 0 success (all requested checks passed), 1 failed check of
 the input (``check``), failed precondition or I/O error, 2 usage error, 3
@@ -197,9 +198,8 @@ def cmd_closure(args) -> int:
     return _finish(args, r, fmt, result, checks, wall)
 
 
-def _check_verdicts(r: Relation, sub_path: str | None) -> tuple[list[tuple[str, bool]], int]:
-    if sub_path:
-        sub, _ = parse_relation(_read_text(sub_path))
+def _check_verdicts(r: Relation, sub: Relation | None) -> tuple[list[tuple[str, bool]], int]:
+    if sub is not None:
         contained, transitive, maximal = _maximality_verdicts(r, sub)
         return [("contained", contained), ("transitive", transitive), ("maximal", maximal)], sub.m
     return [("transitive", is_transitive(r)), ("path_length_two", has_path_length_two(r))], r.m
@@ -209,7 +209,8 @@ def cmd_check(args) -> int:
     if args.sub:
         from . import maximal  # loaded before the clock of ``_maximality_verdicts``
     r, _ = _load_relation(args)
-    (checks, size), wall = _timed(_check_verdicts, r, args.sub)
+    sub = parse_relation(_read_text(args.sub))[0] if args.sub else None
+    (checks, size), wall = _timed(_check_verdicts, r, sub)
     _emit_report(RunReport("check", r.n, r.m, size, checks, wall), args.json)
     # path_length_two describes the input; it is no verdict
     ok = all(ok for name, ok in checks if name != "path_length_two")

@@ -28,7 +28,9 @@ row ``i``.  It runs on the n^2 / 8 bytes of packed rows of
 ``is_maximal_transitive`` and ``extend_to_maximal`` share one join rule,
 ``_joining``, which finds, row by row on the same packed rows, the host arcs
 that can join a transitive set; the check stops at the first row with one,
-and the extension commits them.
+and the extension commits them.  The paper's algorithm is that greedy join
+from no arcs: ``maximal_transitive_v2(r)`` returns
+``extend_to_maximal(r, Relation.empty(r.n))``.
 
 Each invocation owns a private copy of the matrix, of the arc sets or of the
 packed rows, so concurrent calls on distinct inputs are safe.

@@ -9,11 +9,12 @@ and count toward the arc total ``m``.  All values are immutable once
 constructed; two threads that build the same missing view at once store equal
 arrays, so relations are safe to share across threads.
 
-Every operation with an arc route and a row route (``is_transitive``,
-``is_subrelation``, the untraced maximal v2 sweep and ``quarter_approx``)
-takes the one that ``_route`` prices lower in the cost table
-``_ROUTE_COSTS``, from n, the arcs of the relations it reads, the number W of
-two-arc walks and the views held; outputs do not depend on the route.
+Every operation with an arc route and a row route (``is_transitive``, the
+untraced maximal v2 sweep and ``quarter_approx``) takes the one that
+``_route`` prices lower in the cost table ``_ROUTE_COSTS``, from n, m, the
+number W of two-arc walks and the views held; outputs do not depend on the
+route.  ``is_subrelation`` has no table entry: it reads the views that its
+two relations hold, and builds none.
 Transitivity walks all W two-arc walks ``a->b->c`` (W = sum
 over b of indeg * outdeg, at most nm) in O(n + m + W log m) time, or tests
 that each matrix row, packed into 64-bit words, contains the rows of its
@@ -517,8 +518,8 @@ def serialize_relation(r: Relation, fmt: str) -> str:
 _WALK_CHUNK = 1 << 20
 
 # The cost in ns of each route of the operations that have two, from n, m
-# (the arcs of every relation the op reads), W (the two-arc walks) and the
-# views held; ``_route`` takes the cheaper.
+# (the arcs), W (the two-arc walks) and the views held; ``_route`` takes the
+# cheaper.
 # Per term: "arc" and "walk" price the arc route, "row", "word" (m * ceil(n /
 # 64) packed words) and "cell" the row route, and an op omits a term that
 # does not decide its choice; each missing view adds _VIEW_COST per cell.
@@ -533,34 +534,25 @@ _WALK_CHUNK = 1 << 20
 #   overstates the sweep where sets empty early, as on a star with 2-cycles.
 # - quarter, at n = 1000 and 2000: lists 130-185 ns per arc; the matrix
 #   3.85 ns per cell, but 12.5 at n=4000.  ROADMAP.md lists the misroutes.
-# - subrelation, random a inside b (medians of 5, n = 1000-8000): the lookup
-#   14-21 ns per arc of a and b at m >= 10^5 (23-25 at m = 6n); the matrix
-#   test 0.31-0.49 ns per cell at n <= 2000, 0.46-0.69 at n=4000 and
-#   0.61-0.73 at n=8000.  Near the crossover (m = n^2/30) a pair of m = n^2/34
-#   at n=2000 takes the lookup, 2.5 ms against 2.0 by matrix.
 # - view: the arcs of a matrix 0.37-0.42 ns per cell, at m = 4n.
 _ROUTE_COSTS = {
     "transitive": ({"arc": 40, "walk": 42}, {"row": 1300, "word": 2.3, "cell": 0.45}),
     "maximal": ({"arc": 490, "walk": 8}, {"row": 10_000, "word": 1.25, "cell": 1.4}),
     "quarter": ({"arc": 170}, {"row": 3000, "cell": 3.85}),
-    "subrelation": ({"arc": 18}, {"cell": 0.6}),
 }
 _VIEW_COST = 0.4
 
 
-def _route(op: str, *rels: Relation) -> str:
+def _route(op: str, r: Relation) -> str:
     """``"arcs"`` or ``"rows"``: the route of ``op`` that ``_ROUTE_COSTS``
-    prices lower for the relations it reads, one, or two for
-    ``"subrelation"``.  W is counted only when it can change the choice,
+    prices lower for ``r``.  W is counted only when it can change the choice,
     from the degrees of ``Relation._degrees``.  No matrix is built."""
     arc_cost, row_cost = _ROUTE_COSTS[op]
-    n, m = rels[0].n, sum(r.m for r in rels)
-    arcs = arc_cost["arc"] * m + _VIEW_COST * n * n * sum(r._src is None for r in rels)
-    words = m * -(-n // 64)
-    rows = row_cost.get("row", 0) * n + row_cost.get("word", 0) * words + row_cost["cell"] * n * n
-    rows += _VIEW_COST * n * n * sum(r._adj is None for r in rels)
+    n, m = r.n, r.m
+    arcs = arc_cost["arc"] * m + _VIEW_COST * n * n * (r._src is None)
+    rows = row_cost["row"] * n + row_cost.get("word", 0) * m * -(-n // 64)
+    rows += (row_cost["cell"] + _VIEW_COST * (r._adj is None)) * n * n
     if "walk" in arc_cost and arcs < rows:
-        (r,) = rels
         arcs += arc_cost["walk"] * _walk_count(r)
     return "arcs" if arcs < rows else "rows"
 
@@ -681,26 +673,27 @@ def transitive_closure(r: Relation) -> Relation:
     return Relation._from_matrix(_unpacked(rows, r.n))
 
 
-def _subrelation_by_arcs(a: Relation, b: Relation) -> bool:
-    # Look each arc code of a up among the ascending arc codes of b.
-    (a_src, a_dst), (b_src, b_dst) = a._arc_arrays(), b._arc_arrays()
-    return bool(np.all(_arc_index(b_src * b.n + b_dst, a_src * a.n + a_dst) >= 0))
-
-
-def _subrelation_by_rows(a_adj: np.ndarray, b_adj: np.ndarray) -> bool:
-    return not bool(np.any(a_adj & ~b_adj))
-
-
 def is_subrelation(a: Relation, b: Relation) -> bool:
-    """True iff every arc of ``a`` is an arc of ``b``.  The arc route looks
-    the arcs of ``a`` up among those of ``b``, in O(m log m) time; the row
-    route tests the matrices cell by cell, in O(n^2).  ``_route`` picks one
-    (``_ROUTE_COSTS``)."""
+    """True iff every arc of ``a`` is an arc of ``b``, read from the views
+    the two hold; no view is built.  A relation with more arcs is no
+    subrelation.  A matrix-only ``a`` and a matrix-held ``b`` are compared
+    cell by cell, in O(n^2), and two arc-only relations look the arcs of
+    ``a`` up among those of ``b``, in O(m log m).  Otherwise the matrix of
+    one side is read at the arcs of the other, in O(m)."""
     if a.n != b.n:
         raise ValueError(f"vertex count mismatch: {a.n} != {b.n}")
-    if _route("subrelation", a, b) == "arcs":
-        return _subrelation_by_arcs(a, b)
-    return _subrelation_by_rows(a.adj, b.adj)
+    if a.m > b.m:
+        return False
+    if a._src is None and b._adj is not None:
+        return not np.any(a.adj > b.adj)
+    if a._adj is None and b._adj is None:
+        (a_src, a_dst), (b_src, b_dst) = a._arc_arrays(), b._arc_arrays()
+        return bool(np.all(_arc_index(b_src * b.n + b_dst, a_src * a.n + a_dst) >= 0))
+    # One side's matrix read at the other's arcs: the arcs of each are
+    # distinct, so a lies in b iff the two share a.m arcs.
+    held, other = (b, a) if b._adj is not None else (a, b)
+    src, dst = other._arc_arrays()
+    return int(np.count_nonzero(held._adj.ravel()[src * a.n + dst])) == a.m
 
 
 def underlying_graph(r: Relation) -> UndirectedGraph:

@@ -21,16 +21,17 @@ the bit masks ``pos`` and ``neg`` of its positive and negative variables (bit
 v - 1 for variable v), and an assignment mask violates it exactly when
 ``mask & (pos | neg) == neg``.  A clause with some variable both ways holds
 for every mask and is skipped.  A literal 0, or one whose variable is past
-``num_vars``, raises ValueError naming the clause and the literal;
-``cnf_to_dimacs`` writes the clauses as they are.  The max-ones search tests
-all 2^v masks with one masked comparison per clause and counts true variables
-per mask by ``relation._subset_sums``, the doubling that builds the cut table
-of ``maximum``.
+``num_vars``, raises ValueError naming the clause and the literal, in these
+and in ``cnf_to_dimacs``, which also refuses a variable with no arc.  The
+max-ones search tests all 2^v masks with one masked comparison per clause
+and counts true variables per mask by ``relation._subset_sums``, the
+doubling that builds the cut table of ``maximum``.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from itertools import chain
 
 import numpy as np
 
@@ -77,27 +78,43 @@ def encode_mts_to_cnf(r: Relation) -> CnfFormula:
 
 def cnf_to_dimacs(f: CnfFormula) -> str:
     """Standard CNF text layout, preceded by comments pinning the
-    variable->arc mapping."""
-    lines = [f"c var {v} = arc {f.var_to_arc[v][0]} {f.var_to_arc[v][1]}"
-             for v in range(1, f.num_vars + 1)]
+    variable->arc mapping.  ValueError for a literal that names no variable
+    (``_check_literals``) or a variable that maps to no arc."""
+    _check_literals(f)
+    try:
+        lines = [f"c var {v} = arc {f.var_to_arc[v][0]} {f.var_to_arc[v][1]}"
+                 for v in range(1, f.num_vars + 1)]
+    except KeyError as exc:
+        raise ValueError(f"variable {exc.args[0]} maps to no arc") from None
     lines.append(f"p cnf {f.num_vars} {len(f.clauses)}")
     for clause in f.clauses:
         lines.append(" ".join(str(lit) for lit in clause) + " 0")
     return "\n".join(lines) + "\n"
 
 
+def _check_literals(f: CnfFormula) -> None:
+    """ValueError naming the first literal, in clause order, that is 0 or
+    past ``num_vars``, and its clause; one numpy test over all literals."""
+    # An int64 array, or an object array if some literal is past int64.
+    lits = np.array(list(chain.from_iterable(f.clauses)))
+    bad = np.flatnonzero((lits == 0) | (np.abs(lits) > f.num_vars))
+    if len(bad):
+        ends = np.cumsum([len(clause) for clause in f.clauses])
+        index = int(np.searchsorted(ends, bad[0], side="right"))
+        raise ValueError(
+            f"clause {index + 1} {f.clauses[index]} has literal {lits[bad[0]]}, "
+            f"which names no variable of 1..{f.num_vars}"
+        )
+
+
 def _clause_masks(f: CnfFormula) -> list[tuple[int, int]]:
     """``(pos, neg)`` bit masks of each clause's positive and negative
     variables, skipping clauses that hold a variable both ways."""
+    _check_literals(f)
     pairs = []
-    for index, clause in enumerate(f.clauses, start=1):
+    for clause in f.clauses:
         bits = [0, 0]  # of the positive, then of the negative literals
         for lit in clause:
-            if not 1 <= abs(lit) <= f.num_vars:
-                raise ValueError(
-                    f"clause {index} {clause} has literal {lit}, "
-                    f"which names no variable of 1..{f.num_vars}"
-                )
             bits[lit < 0] |= 1 << (abs(lit) - 1)
         if not bits[0] & bits[1]:
             pairs.append(tuple(bits))

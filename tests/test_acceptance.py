@@ -21,6 +21,7 @@ from transub import (
     brute_force_mts,
     check_delta_balanced,
     check_k_delta_balanced,
+    decode_assignment,
     dicut_size,
     doubling_ratios,
     encode_mts_to_cnf,
@@ -156,9 +157,13 @@ def test_criterion_06_triangle_free_equivalence():
 
 
 def test_criterion_07_cnf_equivalence(suite_n4_loopfree, suite_small_loopfree):
+    # Both exact searches break ties alike, so they return the same arc set.
     for r in list(suite_small_loopfree) + list(suite_n4_loopfree):
-        _, count = max_ones_brute_force(encode_mts_to_cnf(r))
-        assert count == brute_force_mts(r).m
+        f = encode_mts_to_cnf(r)
+        assignment, count = max_ones_brute_force(f)
+        best = brute_force_mts(r)
+        assert count == best.m
+        assert decode_assignment(r, f, assignment) == best
     conclude(7, "cnf max-ones equivalence", True,
              f"{len(suite_small_loopfree) + len(suite_n4_loopfree)} digraphs")
 

@@ -248,6 +248,29 @@ class TestClosureAndCheck:
         assert main(["check", "--input", path_file, "--sub", str(sub)]) == EXIT_CHECK_FAILED
         assert f"checks={checks} " in capsys.readouterr().err
 
+    def test_check_sub_times_only_the_verdicts(self, path_file, tmp_path, monkeypatch, capsys):
+        # Both files are read and parsed before the clock starts.
+        events = []
+        parse, timed = cli.parse_relation, cli._timed
+
+        def logged_parse(text):
+            events.append("parse")
+            return parse(text)
+
+        def logged_timed(fn, *args, **kwargs):
+            events.append("start")
+            out = timed(fn, *args, **kwargs)
+            events.append("stop")
+            return out
+
+        monkeypatch.setattr(cli, "parse_relation", logged_parse)
+        monkeypatch.setattr(cli, "_timed", logged_timed)
+        sub = tmp_path / "sub.rel"
+        sub.write_text("3 1\n1 2\n")
+        assert main(["check", "--input", path_file, "--sub", str(sub)]) == EXIT_OK
+        assert events == ["parse", "parse", "start", "stop"]
+        assert "checks=contained:pass,transitive:pass,maximal:pass " in capsys.readouterr().err
+
 
 class TestInvalidUtf8:
     def test_file_is_parse_error(self, tmp_path, capsys):

@@ -383,6 +383,27 @@ class TestExtendToMaximal:
         assert is_maximal_transitive(host, result)
 
 
+class TestPaperMaximalIsGreedyJoin:
+    """The paper's maximal algorithm is the row-major greedy join started
+    from no arcs: ``maximal_transitive_v2(r)`` equals
+    ``extend_to_maximal(r, empty)``."""
+
+    @staticmethod
+    def check(r):
+        empty = Relation.empty(r.n)
+        out, _ = maximal_transitive_v2(r)
+        assert out == extend_to_maximal(r, empty) == oracle_extend_to_maximal(r, empty)
+
+    def test_exhaustive_suites(self, suite_n3_loops, suite_n4_loopfree):
+        for r in list(suite_n3_loops) + list(suite_n4_loopfree):
+            self.check(r)
+
+    @settings(max_examples=150, deadline=None)
+    @given(relations(max_n=8))
+    def test_random_relations(self, r):
+        self.check(r)
+
+
 class TestClosureOracles:
     """The closed forms against one closure per candidate arc."""
 

@@ -191,6 +191,26 @@ class TestMaxOnes:
             max_ones_brute_force(CnfFormula(1, [[1], [-1]], {1: (1, 1)}))
 
 
+class TestSameArcSetAsBranchAndBound:
+    """The max-ones optimum decodes to the arc set of ``brute_force_mts``:
+    both searches take the lexicographically smallest row-major arc set
+    among the maximum ones."""
+
+    @staticmethod
+    def check(r):
+        f = encode_mts_to_cnf(r)
+        assert decode_assignment(r, f, max_ones_brute_force(f)[0]) == brute_force_mts(r)
+
+    def test_small_suites(self, suite_n3_loops, suite_small_loopfree):
+        for r in list(suite_n3_loops) + list(suite_small_loopfree):
+            self.check(r)
+
+    @settings(deadline=None)
+    @given(relations(max_n=4))  # at most 16 arcs
+    def test_random_relations(self, r):
+        self.check(r)
+
+
 class TestRoundTripExhaustive:
     def test_soundness_and_completeness_n_le_3(self):
         # soundness: every satisfying assignment decodes to something
@@ -284,7 +304,17 @@ class TestInvalidLiterals:
         with pytest.raises(ValueError, match=no_variable([2, 0], 2, 0, 2)):
             max_ones_brute_force(CnfFormula(2, [[1, -2], [2, 0]]))
 
-    @pytest.mark.parametrize("lit", [-3, 3])
+    @pytest.mark.parametrize("clauses, index, lit", [([[1, 0, 2], [-3]], 1, 0), ([[1], [-3]], 2, -3)])
+    def test_literal_naming_no_variable_in_dimacs(self, clauses, index, lit):
+        f = CnfFormula(2, clauses, {1: (1, 2), 2: (2, 1)})
+        with pytest.raises(ValueError, match=no_variable(clauses[index - 1], index, lit, 2)):
+            cnf_to_dimacs(f)
+
+    def test_variable_without_arc_in_dimacs(self):
+        with pytest.raises(ValueError, match="^variable 2 maps to no arc$"):
+            cnf_to_dimacs(CnfFormula(2, [[1], [-2]], {1: (1, 2)}))
+
+    @pytest.mark.parametrize("lit", [-3, 3, 2**70])
     def test_literal_past_the_variables(self, lit):
         f = CnfFormula(2, [[lit]], {1: (1, 2), 2: (2, 3)})
         message = no_variable([lit], 1, lit, 2)
