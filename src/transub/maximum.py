@@ -2,17 +2,20 @@
 
 Exact routines are enumeration-based and budgeted so the worst case stays
 around 10^7 candidate checks: ``brute_force_mts`` searches arc subsets (default
-budget 22 arcs) and ``brute_force_max_dicut`` scores every vertex bipartition
-through the forward cut table (at most 20 vertices), an int32 table built by
-subset doubling, one vertex at a time, with no float array and no matrix product.
-``quarter_approx`` keeps the heavier direction of a greedy cut, taken on the
-adjacency matrix or on neighbour lists as ``relation._route`` picks, and
-always returns a transitive arc set of size at least m/4, loops and 2-cycles
-included: where that cut keeps fewer, a greedy that weighs each edge by its
-arcs gives the heavier direction, and every loop is kept too.  On loop-free
-input the result has no directed path of length two.  The dicut counts
-(``dicut_size``, ``forward_arcs``) and the local search run on the arcs and
-build no matrix.  All tie-breaks are deterministic, so results repeat bit for bit.
+budget 22 arcs) against the walk chunks of ``relation._composition_walks``,
+checked by the clause rule of ``sat``, and ``brute_force_max_dicut`` scores
+every vertex bipartition through the forward cut table (at most 20
+vertices), an int32 table built by subset doubling, one vertex at a time,
+with no float array and no matrix product.  ``quarter_approx`` keeps the
+heavier direction of a greedy cut, taken on the adjacency matrix or on
+neighbour lists as ``relation._route`` picks, and always returns a
+transitive arc set of size at least m/4, loops and 2-cycles included: where
+that cut keeps fewer, the same greedy on the lists, with each edge weighed
+by its arcs, gives the heavier direction, and every loop is kept too.  On
+loop-free input the result has no directed path of length two.  The dicut
+counts (``dicut_size``, ``forward_arcs``) and the local search run on the arcs
+and build no matrix.  All tie-breaks are deterministic, so results repeat bit
+for bit.
 """
 
 from __future__ import annotations
@@ -169,12 +172,17 @@ def greedy_bipartition(g: UndirectedGraph) -> VertexPartition:
     return _partition(_greedy_sides_by_lists(g.n, _lower_codes(g.n, pairs[:, 0], pairs[:, 1])))
 
 
-def _quarter_by_arcs(r: Relation) -> Relation:
+def _quarter_by_arcs(r: Relation, weighted: bool = False) -> Relation:
     # ``quarter_approx`` on the arcs: the greedy cut over lists of lower
-    # neighbours, then the heavier direction kept by masking the arcs.
+    # neighbours, then the heavier direction kept by masking the arcs.  Each
+    # edge counts once; weighted, as in ``quarter_approx``'s fallback, it
+    # counts once per arc, and every loop is kept as well.
     src, dst = r._arc_arrays()
-    edges = _distinct(_lower_codes(r.n, src, dst))
-    keep = _heavier(*_crossing(np.array(_greedy_sides_by_lists(r.n, edges)), src, dst))
+    edges = _lower_codes(r.n, src, dst)
+    side = np.array(_greedy_sides_by_lists(r.n, edges if weighted else _distinct(edges)))
+    keep = _heavier(*_crossing(side, src, dst))
+    if weighted:
+        keep |= src == dst
     return Relation._from_arc_arrays(r.n, src[keep], dst[keep])
 
 
@@ -204,12 +212,7 @@ def quarter_approx(r: Relation) -> Relation:
     and its other arc is in the set.
     """
     out = _quarter_by_arcs(r) if _route("quarter", r) == "arcs" else _quarter_by_matrix(r)
-    if 4 * out.m >= r.m:
-        return out
-    src, dst = r._arc_arrays()
-    side = np.array(_greedy_sides_by_lists(r.n, _lower_codes(r.n, src, dst)))
-    keep = _heavier(*_crossing(side, src, dst)) | (src == dst)
-    return Relation._from_arc_arrays(r.n, src[keep], dst[keep])
+    return out if 4 * out.m >= r.m else _quarter_by_arcs(r, weighted=True)
 
 
 # ---------------------------------------------------------------------------
@@ -224,23 +227,27 @@ def brute_force_mts(r: Relation) -> Relation:
 
     The constraints are the two-arc walks of ``relation._composition_walks``,
     the same set the CNF encoder emits as clauses.  Each walk is checked once
-    its highest arc index has been decided, as premise and required bitmasks
-    (a required mask of 0 forbids the premise pair).
+    its highest arc index has been decided, as the bit masks ``premises`` of
+    its two premises and ``both`` of the premises and the forced arc: an arc
+    mask violates it exactly when ``mask & both == premises``.  That is the
+    clause rule ``mask & (pos | neg) == neg`` of ``sat._clause_masks``, with
+    the forced arc as the positive literal (none when it is absent).
     """
     _check_limit(r.m, DEFAULT_ARC_BUDGET, "{} arcs exceeds the enumeration budget")
-    arcs, walks = _composition_walks(r)
-    m = len(arcs)
+    m = r.m
     by_last: list[list[tuple[int, int]]] = [[] for _ in range(m)]
-    for i1, i2, req in walks:
-        pre = (1 << i1) | (1 << i2)
-        by_last[max(i1, i2, req)].append((pre, 1 << req if req >= 0 else 0))
+    for i1, i2, req in _composition_walks(r):
+        for one, two, need in zip(i1.tolist(), i2.tolist(), req.tolist()):
+            premises = (1 << one) | (1 << two)
+            both = premises | (1 << need if need >= 0 else 0)
+            by_last[max(one, two, need)].append((both, premises))
 
     best_size = 0
     best_mask = 0
 
     def consistent(mask: int, checks) -> bool:
-        for pre, req in checks:
-            if mask & pre == pre and not mask & req:
+        for both, premises in checks:
+            if mask & both == premises:
                 return False
         return True
 
@@ -263,8 +270,9 @@ def brute_force_mts(r: Relation) -> Relation:
 
     if m:
         dfs(0, 0, 0)
-    chosen = [arcs[i] for i in range(m) if (best_mask >> i) & 1]
-    return Relation.from_arcs(r.n, chosen)
+    src, dst = r._arc_arrays()
+    keep = (best_mask >> np.arange(m)) & 1 == 1
+    return Relation._from_arc_arrays(r.n, src[keep], dst[keep])
 
 
 # ---------------------------------------------------------------------------

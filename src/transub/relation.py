@@ -18,11 +18,14 @@ two relations hold, and builds none.
 Transitivity walks all W two-arc walks ``a->b->c`` (W = sum
 over b of indeg * outdeg, at most nm) in O(n + m + W log m) time, or tests
 that each matrix row, packed into 64-bit words, contains the rows of its
-successors, in O(n^2 + m * n / 64).  The same walk enumeration,
-``_two_arc_walks``, yields the CNF and branch-and-bound constraints of
-``_composition_walks``.  The closure, and the dense v2 sweep,
-maximality check and extension of ``maximal``, run on the same packed rows
-(``_packed_rows``), whose set bits ``_members`` lists.
+successors, in O(n^2 + m * n / 64).  The walks leave this module as chunks
+of arc-index arrays.  ``_forced_arcs``, the one place a walk's forced arc
+``a->c`` is looked up, adds its index to each chunk; the walk route reads
+those chunks, and ``_composition_walks`` yields them, walks through a loop
+dropped, as the constraints of the CNF encoder and the branch-and-bound.
+The closure, and the dense v2 sweep, maximality check and extension of
+``maximal``, run on the same packed rows (``_packed_rows``), whose set bits
+``_members`` lists.
 """
 
 from __future__ import annotations
@@ -596,14 +599,22 @@ def _arc_index(codes: np.ndarray, wanted: np.ndarray) -> np.ndarray:
     return np.where(codes[at] == wanted, at, -1)
 
 
-def _transitive_by_walks(r: Relation) -> bool:
-    # Every two-arc walk a->b->c needs the arc a->c; stop at the first missing.
+def _forced_arcs(r: Relation):
+    """Yield each chunk of ``_two_arc_walks`` as arc-index arrays ``(i1, i2,
+    req)``: the walk ``(a, b), (b, c)`` runs over arcs ``i1`` and ``i2``, and
+    ``req`` is the index of its forced arc ``(a, c)``, -1 where that arc is
+    absent.  The chunks are yielded unfiltered, so the walk route holds no
+    filtered copies of them."""
     src, dst = r._arc_arrays()
     codes = src * r.n + dst  # ascending, as the arcs are row-major
     for i1, i2 in _two_arc_walks(src, dst, r.n):
-        if np.any(_arc_index(codes, src[i1] * r.n + dst[i2]) < 0):
-            return False
-    return True
+        yield i1, i2, _arc_index(codes, src[i1] * r.n + dst[i2])
+
+
+def _transitive_by_walks(r: Relation) -> bool:
+    # Every two-arc walk a->b->c needs the arc a->c; stop at the first chunk
+    # that misses one.
+    return all(np.all(req >= 0) for _, _, req in _forced_arcs(r))
 
 
 def _packed_rows(adj: np.ndarray) -> np.ndarray:
@@ -731,25 +742,19 @@ def is_triangle_free(g: UndirectedGraph) -> bool:
     return find_triangle(g) is None
 
 
-def _composition_walks(r: Relation) -> tuple[ArcList, list[tuple[int, int, int]]]:
-    """Row-major arcs and the transitivity constraint of every two-arc walk.
-
-    Each walk ``(a, b), (b, c)`` of ``_two_arc_walks`` is an arc-index triple
-    ``(i1, i2, req)``: choosing both premises ``arcs[i1]`` and ``arcs[i2]``
-    requires the forced arc ``(a, c)`` at index ``req``, or is forbidden when
-    ``req == -1`` (the forced arc is absent).  Walks whose forced arc is one
-    of the premises (``a == b`` or ``b == c``) are skipped: they hold
-    whenever the premises do.
+def _composition_walks(r: Relation):
+    """Yield the transitivity constraints of the two-arc walks, chunk by chunk,
+    as the arrays ``(i1, i2, req)`` of ``_forced_arcs``: choosing both
+    premises, the row-major arcs ``i1`` and ``i2``, requires the forced arc
+    at ``req``, or is forbidden when ``req == -1``.  Walks through a loop
+    (``a == b`` or ``b == c``) are skipped: their forced arc is one of the
+    premises, so they hold whenever the premises do.
     """
     src, dst = r._arc_arrays()
-    codes = src * r.n + dst  # ascending, as the arcs are row-major
-    walks: list[tuple[int, int, int]] = []
-    for i1, i2 in _two_arc_walks(src, dst, r.n):
-        a, b, c = src[i1], dst[i1], dst[i2]
-        keep = (a != b) & (b != c)
-        req = _arc_index(codes, a[keep] * r.n + c[keep])
-        walks.extend(zip(i1[keep].tolist(), i2[keep].tolist(), req.tolist()))
-    return r.arcs(), walks
+    loop = src == dst
+    for i1, i2, req in _forced_arcs(r):
+        keep = ~(loop[i1] | loop[i2])
+        yield i1[keep], i2[keep], req[keep]
 
 
 def has_path_length_two(r: Relation) -> bool:

@@ -2,14 +2,15 @@
 
 One boolean variable per arc, numbered by row-major arc order, and one clause
 per two-arc walk ``(i, k), (k, j)`` whose forced arc ``(i, j)`` is distinct
-from both premises.  The walks, in order, come from
-``relation._composition_walks``, the constraint generator that
-``maximum.brute_force_mts`` searches over as well.  A walk emits
-``(x_ij | ~x_ik | ~x_kj)`` when the forced arc exists in the relation, and the
-premise-only clause ``(~x_ik | ~x_kj)`` when it does not (absent arcs are
-fixed false, which deletes their literals).  Walks with a repeated endpoint
-are included, so satisfying assignments decode to transitive sub-relations
-even in the presence of loops and 2-cycles.
+from both premises.  The walks, in order, come as array chunks of arc indices
+from ``relation._composition_walks``, the constraint generator that
+``maximum.brute_force_mts`` searches over as well, and each chunk becomes its
+clauses directly.  A walk emits ``(x_ij | ~x_ik | ~x_kj)`` when the forced arc
+exists in the relation, and the premise-only clause ``(~x_ik | ~x_kj)`` when
+it does not (absent arcs are fixed false, which deletes their literals).
+Walks through a 2-cycle (``i == j``) are included, so satisfying assignments
+decode to transitive sub-relations even in the presence of loops and
+2-cycles.
 
 Every emitted clause keeps at least one negative literal, so the all-false
 assignment always satisfies the formula.  A relation with more than
@@ -19,8 +20,9 @@ assignment always satisfies the formula.  A relation with more than
 read a formula through one clause rule, ``_clause_masks``: each clause becomes
 the bit masks ``pos`` and ``neg`` of its positive and negative variables (bit
 v - 1 for variable v), and an assignment mask violates it exactly when
-``mask & (pos | neg) == neg``.  A clause with some variable both ways holds
-for every mask and is skipped.  A literal 0, or one whose variable is past
+``mask & (pos | neg) == neg``, the rule by which ``maximum.brute_force_mts``
+checks its walks too.  A clause with some variable both ways holds for every
+mask and is skipped.  A literal 0, or one whose variable is past
 ``num_vars``, raises ValueError naming the clause and the literal, in these
 and in ``cnf_to_dimacs``, which also refuses a variable with no arc.  The
 max-ones search tests all 2^v masks with one masked comparison per clause
@@ -41,9 +43,10 @@ from .relation import Arc, Relation, _composition_walks, _low_bits_first, _subse
 MAX_ONES_VAR_BUDGET = 24
 
 # Largest number of two-arc walks ``encode_mts_to_cnf`` encodes.  The clause
-# lists and the DIMACS text cost about 350 bytes per walk: ``transub encode``
-# on a random loop-free relation with n=250, m=1.6e4 and 9.8e5 walks peaked at
-# 365 MiB RSS and took 3.5 s (2-vCPU Xeon VM, numpy 2.4.6).
+# lists and the DIMACS text cost about 310 bytes per walk: ``transub encode``
+# on a random loop-free relation with n=250, m=15 700 and 9.86e5 walks peaked
+# at 292 MiB RSS (ru_maxrss from os.wait4, started by fork+exec from a small
+# launcher) and took 2.3-2.8 s (2-vCPU Xeon VM, numpy 2.4.6).
 _WALK_BUDGET = 10**6
 
 
@@ -68,12 +71,13 @@ class Assignment:
 
 def encode_mts_to_cnf(r: Relation) -> CnfFormula:
     _check_limit(_walk_count(r), _WALK_BUDGET, "{} two-arc walks exceeds the encoding budget")
-    arcs, walks = _composition_walks(r)
-    clauses = [
-        [req + 1, -(i1 + 1), -(i2 + 1)] if req >= 0 else [-(i1 + 1), -(i2 + 1)]
-        for i1, i2, req in walks
-    ]
-    return CnfFormula(len(arcs), clauses, {i + 1: arc for i, arc in enumerate(arcs)})
+    clauses = []
+    for i1, i2, req in _composition_walks(r):
+        clauses.extend(
+            [need, one, two] if need else [one, two]
+            for need, one, two in zip((req + 1).tolist(), (-1 - i1).tolist(), (-1 - i2).tolist())
+        )
+    return CnfFormula(r.m, clauses, dict(enumerate(r.arcs(), 1)))
 
 
 def cnf_to_dimacs(f: CnfFormula) -> str:

@@ -4,6 +4,7 @@ what the CLI has, and the constants it cites exist and hold the values it
 states."""
 
 import argparse
+import ast
 import codecs
 import importlib
 import re
@@ -15,7 +16,8 @@ import pytest
 import transub
 from transub import cli
 
-README_TEXT = (Path(__file__).resolve().parents[1] / "README.md").read_text(encoding="utf-8")
+ROOT = Path(__file__).resolve().parents[1]
+README_TEXT = (ROOT / "README.md").read_text(encoding="utf-8")
 BLOCKS = re.findall(r"^```python\n(.*?)^```", README_TEXT, re.M | re.S)
 SH_LINES = [
     line
@@ -105,3 +107,23 @@ def test_budget_table_states_the_constants():
         stated = int(base) ** int(power.translate(SUPERSCRIPTS)) if power else int(base)
         (constant,) = re.findall(r"`([^`]+)`", parameter)
         assert cited(constant) == stated, routine
+
+
+def test_paper_claims_cite_tests_that_exist():
+    # Each claim row names, in its last cell, the test ids that check it.
+    ids = [
+        test_id
+        for row in table_rows("## Paper claims")
+        for test_id in re.findall(r"`(tests/\w+\.py(?:::\w+)+)`", row[-1])
+    ]
+    assert len(table_rows("## Paper claims")) == 3 and ids
+    for test_id in ids:
+        path, *names = test_id.split("::")
+        nodes = ast.parse((ROOT / path).read_text(encoding="utf-8")).body
+        for name in names:
+            found = [
+                node for node in nodes
+                if isinstance(node, (ast.ClassDef, ast.FunctionDef)) and node.name == name
+            ]
+            assert found, test_id
+            nodes = found[0].body

@@ -1,7 +1,9 @@
 import itertools
 import random
 import re
+import tracemalloc
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 
@@ -122,6 +124,28 @@ class TestWalkBudget:
         assert len(f.clauses) == 9 and all(len(clause) == 2 for clause in f.clauses)
         with pytest.raises(BudgetError, match="^16 two-arc walks"):
             encode_mts_to_cnf(star(4))
+
+
+class TestEncoderMemory:
+    def test_traced_peak_per_walk(self):
+        # The clause lists keep about 150 B per walk; the arrays of a walk
+        # chunk and their integer lists add the rest.  A random loop-free
+        # relation with n=100, m=3200 has about 10^5 walks, all in one chunk.
+        n, m = 100, 3200
+        cells = np.random.default_rng(100).choice(n * (n - 1), size=m, replace=False)
+        src, dst = np.divmod(cells, n - 1)
+        r = Relation.from_arcs(n, np.column_stack([src + 1, dst + (dst >= src) + 1]))
+        walks = sat._walk_count(r)
+        encode_mts_to_cnf(PATH)  # first-use costs outside the window
+        tracemalloc.start()
+        try:
+            base = tracemalloc.get_traced_memory()[0]
+            f = encode_mts_to_cnf(r)
+            peak = tracemalloc.get_traced_memory()[1] - base
+        finally:
+            tracemalloc.stop()
+        assert walks > 10**5 and len(f.clauses) == walks
+        assert peak < 260 * walks, f"{peak / walks:.0f} B per walk"
 
 
 class TestDimacs:
