@@ -9,10 +9,11 @@ and are excluded from any byte-stability guarantee.
 
 Exit statuses: 0 success (all requested checks passed), 1 failed check of
 the input (``check``), failed precondition or I/O error, 2 usage error, 3
-parse error, 4 enumeration, dense-size, arc or output budget exceeded, 5 a result of
-``maximal``, ``maximum`` or ``closure`` failed its own check (indicates an
-implementation bug).  Those three share one tail: the result is written and
-the report emitted before the exit status is decided.
+parse error, 4 enumeration, dense-size, arc, input-size or output budget
+exceeded, 5 a result of ``maximal``, ``maximum`` or ``closure`` failed its
+own check (indicates an implementation bug).  Those three share one tail:
+the result is written and the report emitted before the exit status is
+decided.
 """
 
 from __future__ import annotations
@@ -20,6 +21,7 @@ from __future__ import annotations
 import argparse
 import json
 import math
+import os
 import sys
 from dataclasses import asdict, dataclass
 from pathlib import Path
@@ -55,6 +57,14 @@ EXIT_VERIFY = 5
 # closure of m=4n at the 10000-vertex header limit is nearly complete,
 # about 1e8 arcs.
 _CLOSURE_ARC_BUDGET = 10**7
+
+# Most bytes ``_read_text`` reads from one input, checked before the read.
+# On n=10000 edge lists the whole process peaked at 550 MiB RSS for 49 MB
+# of text (``maximum --mode quarter``, about 12 B per byte, the most per
+# byte measured) and at 917 MiB for 98 MB (``--mode dicut-local``), so this
+# limit stands near 1.4 GiB.  It admits a matrix at the 10000-vertex limit
+# (1.0e8 bytes).
+_INPUT_BYTE_BUDGET = 125 * 10**6
 
 # Most arcs ``maximum --mode dicut-local`` takes, checked before the local
 # search builds its arc view.  The whole process peaked at 879 MiB RSS for
@@ -104,11 +114,33 @@ def _json_text(document: dict, indent: int | None = None) -> str:
 
 
 def _read_text(path: str) -> str:
-    data = sys.stdin.buffer.read() if path == "-" else Path(path).read_bytes()
+    """The UTF-8 text of the file ``path``, or of standard input for ``-``.
+    Past ``_INPUT_BYTE_BUDGET`` bytes it exits 4: a file is refused by its
+    size before any byte is read, and no input is read past one byte over."""
+    if path == "-":
+        data = _read_bounded(sys.stdin.buffer)
+    else:
+        with open(path, "rb") as f:
+            _check_input_bytes(os.fstat(f.fileno()).st_size)
+            data = _read_bounded(f)
     try:
         return data.decode("utf-8")
     except UnicodeDecodeError as exc:
         raise ParseError(f"input is not valid UTF-8 (byte {exc.start}: {exc.reason})") from None
+
+
+def _read_bounded(stream) -> bytes:
+    # In blocks, as one ``read(limit + 1)`` allocates the whole limit up front.
+    blocks, left = [], _INPUT_BYTE_BUDGET + 1
+    while left and (block := stream.read(min(left, 1 << 20))):
+        blocks.append(block)
+        left -= len(block)
+    _check_input_bytes(_INPUT_BYTE_BUDGET + 1 - left)
+    return b"".join(blocks)
+
+
+def _check_input_bytes(count: int) -> None:
+    _check_limit(count, _INPUT_BYTE_BUDGET, "input of at least {} bytes exceeds the input limit")
 
 
 def _write_text(path: str | None, text: str) -> None:
@@ -323,7 +355,9 @@ def build_parser() -> argparse.ArgumentParser:
     _add_io_options(p)
     p.set_defaults(func=cmd_closure)
 
-    p = subparsers.add_parser("check", help="transitivity / maximality checks")
+    p = subparsers.add_parser("check", help="transitivity / maximality checks", description=(
+        "Check the input for transitivity, or --sub for maximality inside it. Only the run "
+        "report is written, to stderr: --output is accepted and never written."))
     _add_io_options(p)
     p.add_argument("--sub", default=None, help="candidate sub-relation to check for maximality")
     p.set_defaults(func=cmd_check)

@@ -15,7 +15,7 @@ class ParseError(ValueError):
 
 class BudgetError(ValueError):
     """Raised when an input exceeds a stated limit: the dense vertex limit,
-    an enumeration or encoding budget, or a CLI output or search limit."""
+    an enumeration or encoding budget, or a CLI input, output or search limit."""
 
 
 def _check_limit(count: int, limit: int, phrase: str) -> None:

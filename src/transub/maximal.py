@@ -144,11 +144,12 @@ def _set_run(r: Relation,
     # pred(i), and the column rule then deletes it again.  A loop deletes
     # nothing.
     n = r.n
-    src, dst = r._arc_arrays()
+    codes = r._arc_codes()
     vertex = np.arange(n).astype(object)  # one int per vertex, shared by all sets
     succ: list[set[int]] = [set() for _ in range(n)]
     pred: list[set[int]] = [set() for _ in range(n)]
-    for u, v in zip(vertex[src], vertex[dst]):
+    # One column of endpoints at a time: the codes stay held beside them.
+    for u, v in zip(vertex[codes // n], vertex[codes % n]):
         succ[u].add(v)
         pred[v].add(u)
     for i in range(n):
@@ -170,7 +171,7 @@ def _set_run(r: Relation,
                     succ[k].discard(i)
     counts = [len(s) for s in succ]
     kept = np.fromiter(chain.from_iterable(map(sorted, succ)), dtype=np.intp, count=sum(counts))
-    return Relation._from_arc_arrays(n, np.repeat(np.arange(n), counts), kept)
+    return Relation._from_sorted_codes(n, np.repeat(np.arange(n) * n, counts) + kept)
 
 
 def _traced(run, r: Relation) -> tuple[Relation, MaximalTrace]:

@@ -120,10 +120,8 @@ def dicut_size(r: Relation, p: VertexPartition) -> DicutResult:
 
 def forward_arcs(r: Relation, p: VertexPartition) -> Relation:
     """The arcs going from the U side to the V side, as a relation."""
-    u = _u_vector(r, p)
-    src, dst = r._arc_arrays()
-    keep, _ = _crossing(u, src, dst)
-    return Relation._from_arc_arrays(r.n, src[keep], dst[keep])
+    keep, _ = _crossing(_u_vector(r, p), *r._arc_arrays())
+    return Relation._from_sorted_codes(r.n, r._arc_codes()[keep])
 
 
 def _greedy_sides(sym: np.ndarray) -> np.ndarray:
@@ -176,14 +174,15 @@ def _quarter_by_arcs(r: Relation, weighted: bool = False) -> Relation:
     # ``quarter_approx`` on the arcs: the greedy cut over lists of lower
     # neighbours, then the heavier direction kept by masking the arcs.  Each
     # edge counts once; weighted, as in ``quarter_approx``'s fallback, it
-    # counts once per arc, and every loop is kept as well.
-    src, dst = r._arc_arrays()
-    edges = _lower_codes(r.n, src, dst)
+    # counts once per arc, and every loop is kept as well.  The index arrays
+    # of the arcs are derived again after the greedy, not held through it.
+    edges = _lower_codes(r.n, *r._arc_arrays())
     side = np.array(_greedy_sides_by_lists(r.n, edges if weighted else _distinct(edges)))
+    src, dst = r._arc_arrays()
     keep = _heavier(*_crossing(side, src, dst))
     if weighted:
         keep |= src == dst
-    return Relation._from_arc_arrays(r.n, src[keep], dst[keep])
+    return Relation._from_sorted_codes(r.n, r._arc_codes()[keep])
 
 
 def _quarter_by_matrix(r: Relation) -> Relation:
@@ -270,9 +269,8 @@ def brute_force_mts(r: Relation) -> Relation:
 
     if m:
         dfs(0, 0, 0)
-    src, dst = r._arc_arrays()
     keep = (best_mask >> np.arange(m)) & 1 == 1
-    return Relation._from_arc_arrays(r.n, src[keep], dst[keep])
+    return Relation._from_sorted_codes(r.n, r._arc_codes()[keep])
 
 
 # ---------------------------------------------------------------------------

@@ -2,12 +2,14 @@
 
 A relation on ``{1..n}`` has two views: the n-by-n boolean adjacency matrix
 ``adj`` (``adj[i][j]``, 0-based, records the arc ``(i+1, j+1)``), and the
-row-major 0-based ``src``/``dst`` index arrays of its distinct arcs.  A
-relation holds the view it was built from, so parsing an edge list allocates
-no n^2 cells, and builds the other view on first use.  Loops are permitted
-and count toward the arc total ``m``.  All values are immutable once
-constructed; two threads that build the same missing view at once store equal
-arrays, so relations are safe to share across threads.
+ascending 0-based cell codes ``i * n + j`` of its distinct arcs, 8 bytes per
+arc, from which ``Relation._arc_arrays`` derives the row-major ``src``/``dst``
+index arrays on each call.  A relation holds the view it was built from, so
+parsing an edge list allocates no n^2 cells, and builds the other view on
+first use.  Loops are permitted and count toward the arc total ``m``.  All
+values are immutable once constructed; two threads that build the same
+missing view at once store equal arrays, so relations are safe to share
+across threads.
 
 Every operation with an arc route and a row route (``is_transitive``, the
 untraced maximal v2 sweep and ``quarter_approx``) takes the one that
@@ -60,7 +62,7 @@ _CODED_VERTEX_LIMIT = 3037000499
 class Relation:
     """A binary relation on ``{1..n}``; arcs are 1-based ``(source, target)`` pairs."""
 
-    __slots__ = ("_n", "_m", "_adj", "_src", "_dst", "_deg")
+    __slots__ = ("_n", "_m", "_adj", "_codes", "_deg")
 
     def __init__(self, adj) -> None:
         arr = np.array(adj, dtype=bool)
@@ -69,59 +71,66 @@ class Relation:
         if arr.shape[0] < 1:
             raise ValueError("vertex count must be at least 1")
         self._n, self._m, self._adj = arr.shape[0], int(np.count_nonzero(arr)), _frozen(arr)
-        self._src = self._dst = self._deg = None
+        self._codes = self._deg = None
 
     @classmethod
     def _from_matrix(cls, adj: np.ndarray) -> "Relation":
         """Freeze a square boolean matrix that only its caller built; no copy."""
         r = cls.__new__(cls)
         r._n, r._m, r._adj = adj.shape[0], int(np.count_nonzero(adj)), _frozen(adj)
-        r._src = r._dst = r._deg = None
+        r._codes = r._deg = None
         return r
 
     @classmethod
-    def _from_arc_arrays(cls, n: int, src: np.ndarray, dst: np.ndarray) -> "Relation":
-        """Wrap the row-major 0-based index arrays of distinct arcs; no matrix is built."""
+    def _from_sorted_codes(cls, n: int, codes: np.ndarray) -> "Relation":
+        """Wrap ascending distinct 0-based cell codes ``u * n + v``; no copy, and
+        no matrix is built."""
         if n < 1:
             raise ValueError("vertex count must be at least 1")
         r = cls.__new__(cls)
-        r._n, r._m, r._adj = n, len(src), None
-        r._src, r._dst, r._deg = _frozen(src), _frozen(dst), None
+        r._n, r._m, r._adj, r._codes, r._deg = n, len(codes), None, _frozen(codes), None
         return r
 
     @classmethod
     def _from_codes(cls, n: int, codes: np.ndarray) -> "Relation":
         """The relation of 0-based cell codes ``u * n + v``, in any order, repeats allowed."""
-        src, dst = np.divmod(_distinct(codes), n)
-        return cls._from_arc_arrays(n, src, dst)
+        return cls._from_sorted_codes(n, _distinct(codes))
 
     @property
     def adj(self) -> np.ndarray:
         """Read-only n-by-n boolean adjacency matrix."""
         if self._adj is None:
             adj = np.zeros((self._n, self._n), dtype=bool)
-            adj[self._src, self._dst] = True
+            adj.ravel()[self._codes] = True
             self._adj = _frozen(adj)
         return self._adj
 
+    def _arc_codes(self) -> np.ndarray:
+        """Read-only ascending 0-based cell codes ``u * n + v`` of the arcs: the
+        arc view, built from the matrix if missing."""
+        if self._codes is None:
+            # 2-D ``np.nonzero`` took 18 ms at n=2000, m=8000, against 1.5 ms for
+            # this and a ``divmod``.
+            self._codes = _frozen(np.flatnonzero(self._adj))
+        return self._codes
+
     def _arc_arrays(self) -> tuple[np.ndarray, np.ndarray]:
-        """Read-only row-major 0-based ``(src, dst)`` index arrays of the arcs."""
-        if self._src is None:
-            # 2-D ``np.nonzero`` took 18 ms at n=2000, m=8000, against 1.5 ms for this.
-            src, dst = np.divmod(np.flatnonzero(self._adj), self._n)
-            self._src, self._dst = _frozen(src), _frozen(dst)
-        return self._src, self._dst
+        """Read-only row-major 0-based ``(src, dst)`` index arrays of the arcs,
+        derived from the codes on each call and not kept."""
+        src, dst = np.divmod(self._arc_codes(), self._n)
+        return _frozen(src), _frozen(dst)
 
     def _degrees(self) -> tuple[np.ndarray, np.ndarray]:
         """Read-only (out-degree, in-degree) of every vertex, counted once.
         They are counted on the arc view, built if missing, when it is held
         or no larger than the matrix, as counting on it is cheaper; otherwise
         on the matrix."""
-        # The view is two int64 arrays, 16 bytes per arc; the matrix one byte
-        # per cell.  Summing its uint8 view into int32 took half the time of
-        # ``count_nonzero(axis=...)`` at n=2000, m=n^2/4.
+        # Counting on the arcs derives their two int64 index arrays, 16 bytes
+        # per arc; the matrix is one byte per cell.  Summing its uint8 view
+        # into int32 took half the time of ``count_nonzero(axis=...)`` at
+        # n=2000, m=n^2/4.
         if self._deg is None:
-            if self._src is None and 16 * self._m > self._n * self._n:
+            if self._codes is None and 16 * self._m > self._n * self._n:
                 cells = self._adj.view(np.uint8)
                 deg = cells.sum(axis=1, dtype=np.int32), cells.sum(axis=0, dtype=np.int32)
             else:
@@ -179,21 +188,19 @@ class Relation:
             raise ValueError(f"arc ({u}, {v}) out of range 1..{self._n}")
         if self._adj is not None:
             return bool(self._adj[u - 1, v - 1])
-        lo, hi = np.searchsorted(self._src, [u - 1, u])
-        return bool(np.any(self._dst[lo:hi] == v - 1))
+        return int(_arc_index(self._codes, np.array([(u - 1) * self._n + v - 1]))[0]) >= 0
 
     def __eq__(self, other) -> bool:
         if not isinstance(other, Relation):
             return NotImplemented
         if (self.n, self.m) != (other.n, other.m):
             return False
-        if self._src is None and other._src is None:
+        if self._codes is None and other._codes is None:
             return bool(np.array_equal(self._adj, other._adj))
-        return all(map(np.array_equal, self._arc_arrays(), other._arc_arrays()))
+        return bool(np.array_equal(self._arc_codes(), other._arc_codes()))
 
     def __hash__(self) -> int:
-        src, dst = self._arc_arrays()
-        return hash((self.n, src.tobytes(), dst.tobytes()))
+        return hash((self.n, self._arc_codes().tobytes()))
 
     def __repr__(self) -> str:
         return f"Relation(n={self.n}, m={self.m})"
@@ -451,9 +458,11 @@ def _parse_matrix_lines(text: str) -> Relation:
 
 
 def serialize_edge_list(r: Relation) -> str:
-    src, dst = r._arc_arrays()
+    # Each column is derived from the codes just before its list is built,
+    # so the two are never held at once.
+    codes = r._arc_codes()
     lines = [f"{r.n} {r.m}"]
-    lines.extend(map("{} {}".format, (src + 1).tolist(), (dst + 1).tolist()))
+    lines.extend(map("{} {}".format, (codes // r.n + 1).tolist(), (codes % r.n + 1).tolist()))
     return "\n".join(lines) + "\n"
 
 
@@ -552,7 +561,7 @@ def _route(op: str, r: Relation) -> str:
     from the degrees of ``Relation._degrees``.  No matrix is built."""
     arc_cost, row_cost = _ROUTE_COSTS[op]
     n, m = r.n, r.m
-    arcs = arc_cost["arc"] * m + _VIEW_COST * n * n * (r._src is None)
+    arcs = arc_cost["arc"] * m + _VIEW_COST * n * n * (r._codes is None)
     rows = row_cost["row"] * n + row_cost.get("word", 0) * m * -(-n // 64)
     rows += (row_cost["cell"] + _VIEW_COST * (r._adj is None)) * n * n
     if "walk" in arc_cost and arcs < rows:
@@ -605,8 +614,8 @@ def _forced_arcs(r: Relation):
     ``req`` is the index of its forced arc ``(a, c)``, -1 where that arc is
     absent.  The chunks are yielded unfiltered, so the walk route holds no
     filtered copies of them."""
+    codes = r._arc_codes()
     src, dst = r._arc_arrays()
-    codes = src * r.n + dst  # ascending, as the arcs are row-major
     for i1, i2 in _two_arc_walks(src, dst, r.n):
         yield i1, i2, _arc_index(codes, src[i1] * r.n + dst[i2])
 
@@ -695,16 +704,14 @@ def is_subrelation(a: Relation, b: Relation) -> bool:
         raise ValueError(f"vertex count mismatch: {a.n} != {b.n}")
     if a.m > b.m:
         return False
-    if a._src is None and b._adj is not None:
+    if a._codes is None and b._adj is not None:
         return not np.any(a.adj > b.adj)
     if a._adj is None and b._adj is None:
-        (a_src, a_dst), (b_src, b_dst) = a._arc_arrays(), b._arc_arrays()
-        return bool(np.all(_arc_index(b_src * b.n + b_dst, a_src * a.n + a_dst) >= 0))
-    # One side's matrix read at the other's arcs: the arcs of each are
+        return bool(np.all(_arc_index(b._codes, a._codes) >= 0))
+    # One side's matrix read at the other's arc codes: the arcs of each are
     # distinct, so a lies in b iff the two share a.m arcs.
     held, other = (b, a) if b._adj is not None else (a, b)
-    src, dst = other._arc_arrays()
-    return int(np.count_nonzero(held._adj.ravel()[src * a.n + dst])) == a.m
+    return int(np.count_nonzero(held._adj.ravel()[other._codes])) == a.m
 
 
 def underlying_graph(r: Relation) -> UndirectedGraph:

@@ -173,7 +173,7 @@ class TestMaximum:
             assert capsys.readouterr() == (
                 "", "budget error: 3 arcs exceeds the dicut-local limit of 2\n"
             )
-        assert parsed[-1][0]._src is None  # the matrix's arc view was not built
+        assert parsed[-1][0]._codes is None  # the matrix's arc view was not built
 
     def test_dicut_exact_budget_exit(self, tmp_path, capsys):
         src = tmp_path / "wide.rel"
@@ -229,6 +229,14 @@ class TestClosureAndCheck:
         src.write_text("3 2\n1 2\n2 3\n")
         assert main(["check", "--input", str(src)]) == EXIT_CHECK_FAILED
 
+    def test_check_output_is_accepted_and_never_written(self, path_file, tmp_path, capsys):
+        out = tmp_path / "never.rel"
+        assert main(["check", "--input", path_file, "--output", str(out)]) == EXIT_CHECK_FAILED
+        assert not out.exists() and capsys.readouterr().out == ""
+        with pytest.raises(SystemExit):
+            main(["check", "--help"])
+        assert "--output is accepted and never written" in " ".join(capsys.readouterr().out.split())
+
     def test_check_sub_maximality(self, path_file, tmp_path, capsys):
         sub = tmp_path / "sub.rel"
         sub.write_text("3 1\n1 2\n")
@@ -283,6 +291,63 @@ class TestInvalidUtf8:
         monkeypatch.setattr(sys, "stdin", io.TextIOWrapper(io.BytesIO(NOT_UTF8)))
         assert main(["check", "--input", "-"]) == EXIT_PARSE
         assert "UTF-8" in capsys.readouterr().err
+
+
+class TestInputByteLimit:
+    """Past ``cli._INPUT_BYTE_BUDGET`` bytes an input exits 4: a file by its
+    size before it is read, standard input after one byte over the limit."""
+
+    GARBAGE = b"not a relation\n"  # exit 3 when read
+
+    def test_file_over_the_limit_is_never_read(self, tmp_path, path_file, capsys):
+        # A sparse file one byte over the real limit, as input and as --sub:
+        # reading it would allocate the whole limit.
+        src = tmp_path / "huge.rel"
+        with open(src, "wb") as f:
+            f.truncate(cli._INPUT_BYTE_BUDGET + 1)
+        for argv in (["--input", str(src)], ["--input", path_file, "--sub", str(src)]):
+            tracemalloc.start()
+            try:
+                status = main(["check", *argv])
+                peak = tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+            assert status == EXIT_BUDGET and peak < 2 << 20, f"{peak / 2**20:.1f} MiB"
+            assert capsys.readouterr().err == (
+                f"budget error: input of at least {cli._INPUT_BYTE_BUDGET + 1} bytes exceeds "
+                f"the input limit of {cli._INPUT_BYTE_BUDGET}\n"
+            )
+
+    def test_file_over_a_small_limit(self, tmp_path, monkeypatch, capsys):
+        monkeypatch.setattr(cli, "_INPUT_BYTE_BUDGET", len(self.GARBAGE) - 1)
+        src = tmp_path / "garbage.rel"
+        src.write_bytes(self.GARBAGE)
+        assert main(["check", "--input", str(src)]) == EXIT_BUDGET
+        assert capsys.readouterr().err == (
+            f"budget error: input of at least {len(self.GARBAGE)} bytes exceeds the input "
+            f"limit of {len(self.GARBAGE) - 1}\n"
+        )
+        monkeypatch.setattr(cli, "_INPUT_BYTE_BUDGET", len(self.GARBAGE))
+        assert main(["check", "--input", str(src)]) == EXIT_PARSE
+
+    def test_stdin_is_read_one_byte_past_the_limit(self, monkeypatch, capsys):
+        monkeypatch.setattr(cli, "_INPUT_BYTE_BUDGET", 4)
+        stdin = io.BytesIO(self.GARBAGE)
+        monkeypatch.setattr(sys, "stdin", io.TextIOWrapper(stdin))
+        assert main(["check", "--input", "-"]) == EXIT_BUDGET
+        assert stdin.tell() == 5
+        assert capsys.readouterr().err == (
+            "budget error: input of at least 5 bytes exceeds the input limit of 4\n"
+        )
+
+    def test_inputs_at_the_limit_are_read(self, tmp_path, monkeypatch, capsys):
+        monkeypatch.setattr(cli, "_INPUT_BYTE_BUDGET", len(PATH_EDGE_LIST))
+        monkeypatch.setattr(sys, "stdin", io.TextIOWrapper(io.BytesIO(PATH_EDGE_LIST.encode())))
+        src = tmp_path / "path.rel"
+        src.write_text(PATH_EDGE_LIST)
+        for path in ("-", str(src)):
+            assert main(["check", "--input", path]) == EXIT_CHECK_FAILED
+            assert "checks=transitive:fail,path_length_two:pass " in capsys.readouterr().err
 
 
 class TestFuzzedInput:

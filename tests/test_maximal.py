@@ -229,7 +229,7 @@ class TestSetRoute:
             peak = tracemalloc.get_traced_memory()[1] - base
         finally:
             tracemalloc.stop()
-        assert out._src is None and not out.adj.flags.writeable
+        assert out._codes is None and not out.adj.flags.writeable
         assert peak < 1.25 * n * n, f"{peak / 2**20:.1f} MiB"
 
 

@@ -101,7 +101,7 @@ def test_budget_table_states_the_constants():
     # Each row states a number, such as "22 arcs" or "10⁶ two-arc walks",
     # and names the constant that holds it.
     rows = table_rows("## Enumeration budgets")
-    assert len(rows) == 9
+    assert len(rows) == 10
     for routine, budget, parameter in rows:
         base, power = re.match(r"(\d+)([⁰¹²³⁴⁵⁶⁷⁸⁹]*) ", budget).groups()
         stated = int(base) ** int(power.translate(SUPERSCRIPTS)) if power else int(base)

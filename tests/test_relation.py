@@ -159,7 +159,7 @@ class TestViews:
         for u, v in r.arcs():
             matrix[u - 1, v - 1] = True
         by_arcs, by_matrix = Relation.from_arcs(r.n, r.arcs()), Relation(matrix)
-        assert by_arcs._adj is None and by_matrix._src is None
+        assert by_arcs._adj is None and by_matrix._codes is None
         assert (by_arcs.n, by_arcs.m) == (by_matrix.n, by_matrix.m)
         assert by_arcs.arcs() == by_matrix.arcs()
         cells = [(u, v) for u in range(1, r.n + 1) for v in range(1, r.n + 1)]
@@ -173,6 +173,20 @@ class TestViews:
         assert np.array_equal(by_arcs.adj, matrix) and not by_arcs.adj.flags.writeable
         src, dst = by_matrix._arc_arrays()
         assert not src.flags.writeable and not dst.flags.writeable
+
+    @settings(max_examples=80)
+    @given(relations())
+    def test_one_arc_view_of_cell_codes(self, r):
+        # The arc view is one read-only array of cell codes u * n + v equal to
+        # the flat cells of the matrix, so ascending, distinct and below n^2;
+        # the index pair is derived from it.  ``has_arc``, ``==`` and ``hash``
+        # across views are tested above.
+        for view in (Relation.from_arcs(r.n, r.arcs()), Relation(r.adj)):
+            codes = view._arc_codes()
+            assert not codes.flags.writeable and np.array_equal(codes, np.flatnonzero(r.adj))
+            src, dst = view._arc_arrays()
+            assert not src.flags.writeable and not dst.flags.writeable
+            assert [src.tolist(), dst.tolist()] == [a.tolist() for a in np.divmod(codes, r.n)]
 
     @pytest.mark.parametrize("u, v", [(0, 0), (0, 1), (-1, 2), (3, 1), (1, 3)])
     def test_has_arc_rejects_vertices_out_of_range(self, u, v):
@@ -792,24 +806,24 @@ class TestRouteTable:
     def test_random_matrix_held_dense(self):
         # n=2000, m=n^2/32: 75-113 / 16-27 and 19-25 / 15-21
         r = Relation(self.random(2000, 2000 * 2000 // 32, seed=4).adj)
-        assert r._src is None and self.routes(r) == ("rows", "rows")
+        assert r._codes is None and self.routes(r) == ("rows", "rows")
 
     def test_random_matrix_held_sparse(self):
         # n=4000, m=4n: 20-27 / 83-90 and 11-12 / 194-195
         r = Relation(self.random(4000, 4 * 4000, seed=5).adj)
-        assert r._src is None and self.routes(r) == ("arcs", "arcs")
-        assert r._src is not None  # W was counted on the arc view, which the sets read
+        assert r._codes is None and self.routes(r) == ("arcs", "arcs")
+        assert r._codes is not None  # W was counted on the arc view, which the sets read
 
     @staticmethod
     def nested(n, m, seed):
         """An arc-held b of m random arcs and the arc-held a of every other arc of b."""
         b = TestRouteTable.random(n, m, seed)
         src, dst = b._arc_arrays()
-        return Relation._from_arc_arrays(n, src[::2], dst[::2]), b
+        return Relation._from_sorted_codes(n, src[::2] * n + dst[::2]), b
 
     @staticmethod
     def views_held(*rels):
-        return [(r._adj is not None, r._src is not None) for r in rels]
+        return [(r._adj is not None, r._codes is not None) for r in rels]
 
     def test_arc_held_pair_inside_a_matrix(self):
         # n=8000, m_a=2n, m_b=4n, b matrix-held: the matrix of b is read at
@@ -841,7 +855,7 @@ class TestRouteTable:
         # take 16 bytes per arc against the matrix's one byte per cell.
         r = Relation(self.random(2000, 2000 * 2000 // 4, seed=6).adj)
         assert relation._route("transitive", r) == "rows"
-        assert r._src is None
+        assert r._codes is None
 
 
 class TestPackedRows:
@@ -1077,8 +1091,7 @@ class TestWalkCount:
 
     @staticmethod
     def counts(adj):
-        src, dst = np.nonzero(adj)
-        copies = (Relation(adj), Relation._from_arc_arrays(adj.shape[0], src, dst))
+        copies = (Relation(adj), Relation._from_sorted_codes(adj.shape[0], np.flatnonzero(adj)))
         return [relation._walk_count(r) for r in copies]
 
     @staticmethod
@@ -1101,7 +1114,7 @@ class TestDegrees:
 
     @staticmethod
     def views(r):
-        return Relation(r.adj), Relation._from_arc_arrays(r.n, *np.nonzero(r.adj))
+        return Relation(r.adj), Relation._from_sorted_codes(r.n, np.flatnonzero(r.adj))
 
     @given(relations())
     def test_second_call_returns_the_same_read_only_arrays(self, r):
@@ -1148,12 +1161,12 @@ class TestPathLengthTwo:
             raise AssertionError("degrees counted on the matrix")
 
         monkeypatch.setattr(relation.np, "count_nonzero", no_matrix_count)
-        assert has_path_length_two(r) and r._src is not None
+        assert has_path_length_two(r) and r._codes is not None
 
     def test_counts_on_a_smaller_matrix(self):
         # 16 * m > n^2: the matrix is counted, and no arc view is built.
         r = Relation(rel(8, [(1, 2), (3, 4), (5, 6), (7, 8), (1, 4)]).adj)
-        assert not has_path_length_two(r) and r._src is None
+        assert not has_path_length_two(r) and r._codes is None
 
 
 @st.composite
