@@ -34,6 +34,7 @@ from .relation import (
     _low_bits_first,
     _require_triangle_free,
     _route,
+    _row_starts,
     _subset_sums,
     underlying_graph,
 )
@@ -149,7 +150,7 @@ def _greedy_sides_by_lists(n: int, edges: np.ndarray) -> list[bool]:
     # ``edges`` holds the ``_lower_codes`` of the edges.  An edge listed twice
     # counts twice, so a greedy over the codes of the arcs weighs each edge
     # by the arcs it carries.
-    bounds = np.searchsorted(edges, np.arange(n + 1) * n).tolist()  # edges sort by v
+    bounds = _row_starts(edges, n).tolist()  # edges sort by v
     lower = (edges % n).tolist()
     side = [False] * n
     for v in range(n):
@@ -355,11 +356,10 @@ def local_search_dicut(
     src, dst = r._arc_arrays()
     cross = src != dst
     src, dst = src[cross], dst[cross]
-    # Neighbour lists with one entry per arc end: a 2-cycle partner appears twice.
-    ends = np.concatenate([src, dst])
-    order = np.argsort(ends)
-    nbrs = np.concatenate([dst, src])[order]
-    bounds = np.searchsorted(ends[order], np.arange(n + 1)).tolist()
+    # Neighbour lists with one entry per arc end, as the codes of both
+    # directions of each arc: a 2-cycle partner appears twice.
+    ends = np.sort(np.concatenate([src * n + dst, dst * n + src]))
+    nbrs, bounds = ends % n, _row_starts(ends, n).tolist()
 
     def gains() -> np.ndarray:
         # Moving v out of U gains (in-arcs from U) - (out-arcs into V); into U, the negation.

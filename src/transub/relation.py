@@ -3,8 +3,10 @@
 A relation on ``{1..n}`` has two views: the n-by-n boolean adjacency matrix
 ``adj`` (``adj[i][j]``, 0-based, records the arc ``(i+1, j+1)``), and the
 ascending 0-based cell codes ``i * n + j`` of its distinct arcs, 8 bytes per
-arc, from which ``Relation._arc_arrays`` derives the row-major ``src``/``dst``
-index arrays on each call.  A relation holds the view it was built from, so
+arc.  The out-arcs of vertex ``i`` are one run of the codes, which
+``_row_starts`` finds, and ``Relation._arc_arrays`` derives the row-major
+``src``/``dst`` index arrays on each call for the code that needs both
+endpoints of every arc.  A relation holds the view it was built from, so
 parsing an edge list allocates no n^2 cells, and builds the other view on
 first use.  Loops are permitted and count toward the arc total ``m``.  All
 values are immutable once constructed; two threads that build the same
@@ -21,8 +23,9 @@ Transitivity walks all W two-arc walks ``a->b->c`` (W = sum
 over b of indeg * outdeg, at most nm) in O(n + m + W log m) time, or tests
 that each matrix row, packed into 64-bit words, contains the rows of its
 successors, in O(n^2 + m * n / 64).  The walks leave this module as chunks
-of arc-index arrays.  ``_forced_arcs``, the one place a walk's forced arc
-``a->c`` is looked up, adds its index to each chunk; the walk route reads
+of arc-index arrays from ``_forced_arcs``, the one place they are
+enumerated: each first arc ``a->b`` pairs with the run of ``b``'s arcs, and
+the forced arc ``a->c`` is looked up by its code.  The walk route reads
 those chunks, and ``_composition_walks`` yields them, walks through a loop
 dropped, as the constraints of the CNF encoder and the branch-and-bound.
 The closure, and the dense v2 sweep, maximality check and extension of
@@ -36,6 +39,7 @@ import math
 import operator
 import re
 import time
+from array import array
 from dataclasses import dataclass
 
 import numpy as np
@@ -125,17 +129,17 @@ class Relation:
         They are counted on the arc view, built if missing, when it is held
         or no larger than the matrix, as counting on it is cheaper; otherwise
         on the matrix."""
-        # Counting on the arcs derives their two int64 index arrays, 16 bytes
-        # per arc; the matrix is one byte per cell.  Summing its uint8 view
-        # into int32 took half the time of ``count_nonzero(axis=...)`` at
-        # n=2000, m=n^2/4.
+        # Counting on the arcs reads the row runs of the codes and one int64
+        # column of heads: with the codes, 16 bytes per arc, against one byte
+        # per cell for the matrix.  Summing its uint8 view into int32 took
+        # half the time of ``count_nonzero(axis=...)`` at n=2000, m=n^2/4.
         if self._deg is None:
             if self._codes is None and 16 * self._m > self._n * self._n:
                 cells = self._adj.view(np.uint8)
                 deg = cells.sum(axis=1, dtype=np.int32), cells.sum(axis=0, dtype=np.int32)
             else:
-                src, dst = self._arc_arrays()
-                deg = np.bincount(src, minlength=self._n), np.bincount(dst, minlength=self._n)
+                codes, n = self._arc_codes(), self._n
+                deg = np.diff(_row_starts(codes, n)), np.bincount(codes % n, minlength=n)
             self._deg = tuple(map(_frozen, deg))
         return self._deg
 
@@ -225,6 +229,13 @@ def _endpoints(u, v) -> tuple[int, int]:
 def _frozen(arr: np.ndarray) -> np.ndarray:
     arr.setflags(write=False)
     return arr
+
+
+def _row_starts(codes: np.ndarray, n: int) -> np.ndarray:
+    """Where the run of each row begins in ascending cell codes ``u * n + v``:
+    row u is ``codes[starts[u] : starts[u + 1]]``, and ``starts[n]`` is
+    ``len(codes)``."""
+    return np.searchsorted(codes, np.arange(n + 1) * n)
 
 
 def _distinct(codes: np.ndarray) -> np.ndarray:
@@ -324,49 +335,50 @@ def parse_edge_list(text: str) -> Relation:
     return r if r is not None else _parse_edge_list_lines(text)
 
 
-def _parse_edge_list_fast(text: str) -> Relation | None:
-    """The relation of a plain edge list, tokenized with numpy; None for any
-    other text, which ``_parse_edge_list_lines`` then parses or rejects.
+# The byte classes of a plain edge list: each digit reads "1", space, tab,
+# "\r" and "\n" read as themselves, and every other byte reads "x".
+_PLAIN_BYTES = bytes(
+    ord("1") if chr(b) in "0123456789" else b if chr(b) in " \t\r\n" else ord("x")
+    for b in range(256)
+)
 
-    Plain means digits, spaces, tabs and newlines only, two tokens of at most
-    18 digits on every non-blank line, a header ``n`` within the budget and
-    every arc endpoint in ``1..n``: exactly the texts the line loop accepts
-    without a comment, a sign, an underscore, a non-ASCII digit, any other line
-    break or a token of more than 18 digits.  Such a text is
-    whitespace-separated integers only, so ``np.fromstring`` reads every byte
-    of it, and every token fits int64.
+
+def _parse_edge_list_fast(text: str) -> Relation | None:
+    """The relation of a plain edge list, read with numpy; None for any other
+    text, which ``_parse_edge_list_lines`` then parses or rejects.
+
+    Plain means digits, spaces, tabs and line ends (``\\n`` or ``\\r\\n``) only,
+    two tokens of at most 18 digits on every non-blank line, a header ``n``
+    within the budget and every arc endpoint in ``1..n``: exactly the texts
+    the line loop accepts without a comment, a sign, an underscore, a
+    non-ASCII digit, any other line break or a token of more than 18 digits.
+    Such a text is whitespace-separated integers only, so ``np.fromstring``
+    reads every byte of it, and every token fits int64.
     """
     if not text.isascii():
         return None
-    data = text.encode("ascii")
-    if data.translate(None, b"0123456789 \t\n"):
+    classes = text.encode("ascii").translate(_PLAIN_BYTES)
+    # 18 digits fit int64, and Python's int() takes them; "\r" only ends a line.
+    if b"x" in classes or b"1" * 19 in classes or classes.count(b"\r") != classes.count(b"\r\n"):
         return None
-    buf = np.frombuffer(data, dtype=np.uint8)
-    # Past the alphabet test, the bytes at or above "0" are the digits.
-    edges = np.diff((buf >= ord("0")).view(np.int8), prepend=np.int8(0), append=np.int8(0))
-    starts, ends = np.flatnonzero(edges == 1), np.flatnonzero(edges == -1)
-    del edges
-    # 18 digits fit int64, and Python's int() takes them.
-    if len(starts) < 2 or len(starts) % 2 or np.any(ends - starts > 18):
+    del classes  # one byte per byte of text, freed before the integers are read
+    # Each line end reads as -1 and each token as an integer of at least 0, so
+    # the tokens of a line are the integers between two -1s.
+    values = np.fromstring(text.replace("\n", " -1 "), dtype=np.int64, sep=" ")
+    gaps = np.diff(np.flatnonzero(values < 0), prepend=-1, append=len(values)) - 1
+    values = values[values >= 0]
+    if len(values) < 2 or np.any((gaps != 0) & (gaps != 2)):
         return None
-    # Tokens 2i and 2i+1 share a line and token 2i+2 is on a later one: with
-    # an even token count, exactly when every line holds 0 or 2 tokens.
-    line = np.searchsorted(np.flatnonzero(buf == ord("\n")), starts)
-    if np.any(line[0::2] != line[1::2]) or np.any(line[2::2] <= line[1:-1:2]):
-        return None
-    n = int(text[starts[0] : ends[0]])  # the header's arc count is never read
-    del data, buf, starts, ends, line  # about 60 B per arc, freed before the integers are read
-    if not 1 <= n <= DENSE_VERTEX_BUDGET:
-        return None
-    values = np.fromstring(text, dtype=np.int64, sep=" ")[2:]
-    if np.any((values < 1) | (values > n)):
+    n = int(values[0])  # the header's arc count is never read
+    values = values[2:]
+    if not 1 <= n <= DENSE_VERTEX_BUDGET or np.any((values < 1) | (values > n)):
         return None
     return Relation._from_codes(n, (values[0::2] - 1) * n + (values[1::2] - 1))
 
 
 def _parse_edge_list_lines(text: str) -> Relation:
     n = None
-    arcs: list[Arc] = []
+    codes = array("q")  # the cell codes of the arcs, 8 bytes each
     for lineno, raw in enumerate(text.splitlines(), start=1):
         line = raw.strip()
         if not line or line.startswith("#"):
@@ -393,10 +405,10 @@ def _parse_edge_list_lines(text: str) -> Relation:
             raise ParseError(f"non-integer token in arc line: {line!r}", lineno) from None
         if not (1 <= u <= n) or not (1 <= v <= n):
             raise ParseError(f"vertex index out of range [1, {n}]: ({u}, {v})", lineno)
-        arcs.append((u, v))
+        codes.append((u - 1) * n + v - 1)
     if n is None:
         raise ParseError("empty document: missing 'n m' header")
-    return Relation.from_arcs(n, arcs)
+    return Relation._from_codes(n, np.frombuffer(codes, dtype=np.int64))
 
 
 def _require_dense_budget(n: int) -> None:
@@ -526,7 +538,7 @@ def serialize_relation(r: Relation, fmt: str) -> str:
 # ---------------------------------------------------------------------------
 
 
-# Walks per chunk of ``_two_arc_walks``: keeps each index array of a chunk at 8 MiB.
+# Walks per chunk of ``_forced_arcs``: keeps each index array of a chunk at 8 MiB.
 _WALK_CHUNK = 1 << 20
 
 # The cost in ns of each route of the operations that have two, from n, m
@@ -577,29 +589,6 @@ def _walk_count(r: Relation) -> int:
     return int(in_deg.astype(np.int64) @ out_deg)
 
 
-def _two_arc_walks(src: np.ndarray, dst: np.ndarray, n: int):
-    """Yield every two-arc walk ``(a, b), (b, c)`` as arc-index arrays ``(i1, i2)``.
-
-    ``src``/``dst`` are the row-major arcs of ``Relation._arc_arrays``.  ``i1``
-    runs in row-major order and ``i2`` over the successors of ``b`` in
-    ascending order.  Each chunk holds whole runs of first arcs and at most
-    ``_WALK_CHUNK`` walks, unless one first arc alone has more.
-    """
-    offsets = np.zeros(n + 1, dtype=np.int64)
-    np.cumsum(np.bincount(src, minlength=n), out=offsets[1:])
-    counts = offsets[dst + 1] - offsets[dst]  # out-degree of b, per arc
-    ends = np.cumsum(counts)
-    start, done = 0, 0
-    while start < len(src):
-        stop = max(int(np.searchsorted(ends, done + _WALK_CHUNK, side="right")), start + 1)
-        cnt = counts[start:stop]
-        lead = ends[start:stop] - cnt - done  # first walk of each arc in the chunk
-        i1 = np.repeat(np.arange(start, stop), cnt)
-        i2 = np.arange(len(i1)) + np.repeat(offsets[dst[start:stop]] - lead, cnt)
-        yield i1, i2
-        start, done = stop, int(ends[stop - 1])
-
-
 def _arc_index(codes: np.ndarray, wanted: np.ndarray) -> np.ndarray:
     """Index of each wanted cell code among the ascending arc codes, -1 where absent."""
     if not len(codes):
@@ -609,15 +598,32 @@ def _arc_index(codes: np.ndarray, wanted: np.ndarray) -> np.ndarray:
 
 
 def _forced_arcs(r: Relation):
-    """Yield each chunk of ``_two_arc_walks`` as arc-index arrays ``(i1, i2,
-    req)``: the walk ``(a, b), (b, c)`` runs over arcs ``i1`` and ``i2``, and
+    """Yield every two-arc walk ``(a, b), (b, c)`` in chunks of arc-index
+    arrays ``(i1, i2, req)``: the walk runs over arcs ``i1`` and ``i2``, and
     ``req`` is the index of its forced arc ``(a, c)``, -1 where that arc is
-    absent.  The chunks are yielded unfiltered, so the walk route holds no
-    filtered copies of them."""
-    codes = r._arc_codes()
-    src, dst = r._arc_arrays()
-    for i1, i2 in _two_arc_walks(src, dst, r.n):
-        yield i1, i2, _arc_index(codes, src[i1] * r.n + dst[i2])
+    absent.
+
+    ``i1`` runs in row-major order and ``i2`` over the run of ``b``'s arcs,
+    ascending.  Each chunk holds whole runs of first arcs and at most
+    ``_WALK_CHUNK`` walks, unless one first arc alone has more.  The chunks
+    are yielded unfiltered, so the walk route holds no filtered copies of
+    them.  Only the codes and their heads are read.
+    """
+    codes, n = r._arc_codes(), r.n
+    head = codes % n
+    starts = _row_starts(codes, n)
+    counts = starts[head + 1] - starts[head]  # out-degree of b, per arc
+    ends = np.cumsum(counts)
+    start, done = 0, 0
+    while start < len(codes):
+        stop = max(int(np.searchsorted(ends, done + _WALK_CHUNK, side="right")), start + 1)
+        cnt = counts[start:stop]
+        lead = ends[start:stop] - cnt - done  # first walk of each arc in the chunk
+        i1 = np.repeat(np.arange(start, stop), cnt)
+        i2 = np.arange(len(i1)) + np.repeat(starts[head[start:stop]] - lead, cnt)
+        # a * n + b - b + c: the code of the forced arc (a, c)
+        yield i1, i2, _arc_index(codes, codes[i1] - head[i1] + head[i2])
+        start, done = stop, int(ends[stop - 1])
 
 
 def _transitive_by_walks(r: Relation) -> bool:
@@ -757,8 +763,8 @@ def _composition_walks(r: Relation):
     (``a == b`` or ``b == c``) are skipped: their forced arc is one of the
     premises, so they hold whenever the premises do.
     """
-    src, dst = r._arc_arrays()
-    loop = src == dst
+    # u * n + u is u * (n + 1), and no other code below n^2 is a multiple of n + 1.
+    loop = r._arc_codes() % (r.n + 1) == 0
     for i1, i2, req in _forced_arcs(r):
         keep = ~(loop[i1] | loop[i2])
         yield i1[keep], i2[keep], req[keep]

@@ -188,6 +188,20 @@ class TestViews:
             assert not src.flags.writeable and not dst.flags.writeable
             assert [src.tolist(), dst.tolist()] == [a.tolist() for a in np.divmod(codes, r.n)]
 
+    @settings(max_examples=80)
+    @given(relations())
+    def test_row_runs_of_the_codes(self, r):
+        # Each run of ``_row_starts`` holds exactly the codes of its row, so
+        # the run lengths are the row sums of the matrix.
+        for view in (Relation.from_arcs(r.n, r.arcs()), Relation(r.adj)):
+            codes = view._arc_codes()
+            starts = relation._row_starts(codes, r.n)
+            assert starts[0] == 0 and starts[-1] == len(codes)
+            for u in range(r.n):
+                row = np.flatnonzero(r.adj[u]) + u * r.n
+                assert np.array_equal(codes[starts[u] : starts[u + 1]], row)
+            assert np.diff(starts).tolist() == r.adj.sum(axis=1).tolist()
+
     @pytest.mark.parametrize("u, v", [(0, 0), (0, 1), (-1, 2), (3, 1), (1, 3)])
     def test_has_arc_rejects_vertices_out_of_range(self, u, v):
         full = rel(2, [(1, 1), (1, 2), (2, 1), (2, 2)])
@@ -345,7 +359,9 @@ class TestEdgeListFastPath:
         ("3 1\n+3 2\n", False),
         ("3 1\n\u0663 2\n", False),
         ("3 1\n\uff13 2\n", False),
-        ("3 1\r\n1 2\r\n", False),
+        ("3 1\r\n1 2\r\n", True),
+        ("3 1\r1 2\n", False),  # a lone "\r" breaks the line
+        ("3 1\n1\r2\n", False),
         ("3 1\n1 2\x0c\n", False),
         ("# c\n3 1\n1 2\n", False),
         ("3 1\n1 2 # c\n", False),
@@ -393,6 +409,21 @@ class TestEdgeListFastPath:
             tracemalloc.stop()
         assert r.n == n and r._adj is None
         assert peak <= 80 * m, f"{peak / m:.1f} B per arc"
+
+    def test_line_loop_peak_per_arc(self):
+        # A comment sends the text to the line loop, which holds one 8-byte
+        # code per arc and no tuple.
+        n, m = 8000, 32000
+        text = "# a comment\n" + random_edge_list(n, m, seed=8003)
+        parse_edge_list("# c\n3 1\n1 2\n")
+        tracemalloc.start()
+        try:
+            r = parse_edge_list(text)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert r.n == n and r.m == m and r._adj is None
+        assert peak <= 100 * m, f"{peak / m:.1f} B per arc"
 
 
 # Rows of the right length and alphabet, with some rows cut, padded or
@@ -629,11 +660,10 @@ class TestTransitivityByWalks:
         arcs = r.arcs()
         expected = [(i1, i2) for i1, (_, b) in enumerate(arcs)
                     for i2, (b2, _) in enumerate(arcs) if b2 == b]
-        src, dst = np.nonzero(r.adj)
         with pytest.MonkeyPatch.context() as mp:
             mp.setattr(relation, "_WALK_CHUNK", chunk)
-            chunks = list(relation._two_arc_walks(src, dst, r.n))
-        walks = [(int(i1), int(i2)) for c1, c2 in chunks for i1, i2 in zip(c1, c2)]
+            chunks = list(relation._forced_arcs(r))
+        walks = [(int(i1), int(i2)) for c1, c2, _ in chunks for i1, i2 in zip(c1, c2)]
         assert walks == expected
 
     @pytest.mark.parametrize("loops", [False, True])
@@ -678,6 +708,22 @@ class TestTransitivityByWalks:
             assert s._adj is None  # the walks read the arcs
             assert verdict == oracle_is_transitive(s)
         assert not is_transitive(r) and is_transitive(kept)
+
+    def test_walk_route_peak_per_arc(self):
+        # A fresh arc-held one-way bipartite relation (n=3000, m=2*10^6, W=0)
+        # costs the walk route only its setup: the heads of the codes, the
+        # walk counts and their sums, the degrees included, under 44 B per arc.
+        side = np.arange(3000) < 1000
+        r = Relation._from_sorted_codes(3000, np.flatnonzero(np.outer(side, ~side)))
+        is_transitive(rel(3, [(1, 2)]))
+        tracemalloc.start()
+        try:
+            transitive = is_transitive(r)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert transitive and r._adj is None and r.m == 2 * 10**6
+        assert peak <= 44 * r.m, f"{peak / r.m:.1f} B per arc"
 
     def test_dense_input_takes_the_row_route(self, monkeypatch):
         calls = []
@@ -851,8 +897,9 @@ class TestRouteTable:
 
     def test_walks_of_a_dense_matrix_are_counted_without_an_arc_view(self):
         # The benchmark's n=2000, m=n^2/4 matrix: is_transitive's arc route is
-        # priced lower before its walks are counted, and an arc view would
-        # take 16 bytes per arc against the matrix's one byte per cell.
+        # priced lower before its walks are counted, and counting on the arc
+        # codes and their heads would take 16 bytes per arc against the
+        # matrix's one byte per cell.
         r = Relation(self.random(2000, 2000 * 2000 // 4, seed=6).adj)
         assert relation._route("transitive", r) == "rows"
         assert r._codes is None
