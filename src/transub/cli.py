@@ -50,6 +50,17 @@ EXIT_PARSE = 3
 EXIT_BUDGET = 4
 EXIT_VERIFY = 5
 
+# Each error a subcommand raises: its class, the prefix of its stderr line
+# and the exit status.  The order is the match order, so a subclass row
+# (the first three extend ValueError) comes before the row of its base.
+_ERROR_EXITS = (
+    (ParseError, "parse error", EXIT_PARSE),
+    (BudgetError, "budget error", EXIT_BUDGET),
+    (PreconditionError, "precondition error", EXIT_CHECK_FAILED),
+    (ValueError, "error", EXIT_USAGE),
+    (OSError, "i/o error", EXIT_CHECK_FAILED),
+)
+
 # Most arcs ``closure`` writes as an edge list.  The text is built through a
 # string per line: on random edge lists with m=4n the whole process peaked
 # at 654 MiB RSS for 3.8e6 closure arcs (n=2000) and 978 MiB for 6.0e6
@@ -59,11 +70,11 @@ EXIT_VERIFY = 5
 _CLOSURE_ARC_BUDGET = 10**7
 
 # Most bytes ``_read_text`` reads from one input, checked before the read.
-# On n=10000 edge lists the whole process peaked at 550 MiB RSS for 49 MB
-# of text (``maximum --mode quarter``, about 12 B per byte, the most per
-# byte measured) and at 917 MiB for 98 MB (``--mode dicut-local``), so this
-# limit stands near 1.4 GiB.  It admits a matrix at the 10000-vertex limit
-# (1.0e8 bytes).
+# On seeded n=10000 edge lists the whole process peaked at 562 MiB RSS for
+# 48 MB of text (``maximum --mode quarter`` on its matrix route, about 12.3
+# B per byte, the most per byte measured) and at 730 MiB for 98 MB (``--mode
+# dicut-local``), so this limit stands near 1.4 GiB.  It admits a matrix at
+# the 10000-vertex limit (1.0e8 bytes).
 _INPUT_BYTE_BUDGET = 125 * 10**6
 
 # Most arcs ``maximum --mode dicut-local`` takes, checked before the local
@@ -397,21 +408,10 @@ def main(argv=None) -> int:
         parser.error("--repetitions must be at least 1")
     try:
         return args.func(args)
-    except ParseError as exc:
-        print(f"parse error: {exc}", file=sys.stderr)
-        return EXIT_PARSE
-    except BudgetError as exc:
-        print(f"budget error: {exc}", file=sys.stderr)
-        return EXIT_BUDGET
-    except PreconditionError as exc:
-        print(f"precondition error: {exc}", file=sys.stderr)
-        return EXIT_CHECK_FAILED
-    except ValueError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_USAGE
-    except OSError as exc:
-        print(f"i/o error: {exc}", file=sys.stderr)
-        return EXIT_CHECK_FAILED
+    except tuple(cls for cls, _, _ in _ERROR_EXITS) as exc:
+        prefix, status = next((p, s) for cls, p, s in _ERROR_EXITS if isinstance(exc, cls))
+        print(f"{prefix}: {exc}", file=sys.stderr)
+        return status
 
 
 if __name__ == "__main__":

@@ -48,6 +48,7 @@ from .relation import (
     Arc,
     Relation,
     _column,
+    _int_objects,
     _members,
     _packed_rows,
     _route,
@@ -145,7 +146,7 @@ def _set_run(r: Relation,
     # nothing.
     n = r.n
     codes = r._arc_codes()
-    vertex = np.arange(n).astype(object)  # one int per vertex, shared by all sets
+    vertex = _int_objects(0, n)  # one int per vertex, shared by all sets
     succ: list[set[int]] = [set() for _ in range(n)]
     pred: list[set[int]] = [set() for _ in range(n)]
     # One column of endpoints at a time: the codes stay held beside them.

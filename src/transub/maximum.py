@@ -31,6 +31,7 @@ from .relation import (
     UndirectedGraph,
     _composition_walks,
     _distinct,
+    _int_objects,
     _low_bits_first,
     _require_triangle_free,
     _route,
@@ -151,7 +152,7 @@ def _greedy_sides_by_lists(n: int, edges: np.ndarray) -> list[bool]:
     # counts twice, so a greedy over the codes of the arcs weighs each edge
     # by the arcs it carries.
     bounds = _row_starts(edges, n).tolist()  # edges sort by v
-    lower = (edges % n).tolist()
+    lower = _int_objects(0, n)[edges % n].tolist()  # one int per vertex
     side = [False] * n
     for v in range(n):
         placed = lower[bounds[v] : bounds[v + 1]]

@@ -238,6 +238,13 @@ def _row_starts(codes: np.ndarray, n: int) -> np.ndarray:
     return np.searchsorted(codes, np.arange(n + 1) * n)
 
 
+def _int_objects(start: int, stop: int) -> np.ndarray:
+    """The ints ``start .. stop - 1`` as an object array.  A gather from it,
+    iterated or turned into a list by ``.tolist()``, shares one int object per
+    value, where a gather from an integer array makes a new int per element."""
+    return np.arange(start, stop).astype(object)
+
+
 def _distinct(codes: np.ndarray) -> np.ndarray:
     """The distinct values, ascending.  ``np.unique`` would import ``numpy.ma``
     on first use, about 10 ms of every process that parses an edge list."""
@@ -383,26 +390,24 @@ def _parse_edge_list_lines(text: str) -> Relation:
         line = raw.strip()
         if not line or line.startswith("#"):
             continue
-        tokens = line.split()
-        if n is None:
-            if len(tokens) != 2:
-                raise ParseError("header must be two integers 'n m'", lineno)
-            try:
-                n, m_declared = int(tokens[0]), int(tokens[1])
-            except ValueError:
-                raise ParseError(f"non-integer token in header: {line!r}", lineno) from None
-            if n < 1:
-                raise ParseError(f"vertex count must be at least 1, got {n}", lineno)
-            if m_declared < 0:
-                raise ParseError(f"arc count must be non-negative, got {m_declared}", lineno)
-            _require_dense_budget(n)
-            continue
+        # The header "n m" and each arc line "u v" share one token rule.
+        tokens, header = line.split(), n is None
         if len(tokens) != 2:
-            raise ParseError(f"arc line must be two integers 'u v': {line!r}", lineno)
+            raise ParseError("header must be two integers 'n m'" if header
+                             else f"arc line must be two integers 'u v': {line!r}", lineno)
         try:
             u, v = int(tokens[0]), int(tokens[1])
         except ValueError:
-            raise ParseError(f"non-integer token in arc line: {line!r}", lineno) from None
+            kind = "header" if header else "arc line"
+            raise ParseError(f"non-integer token in {kind}: {line!r}", lineno) from None
+        if header:
+            if u < 1:
+                raise ParseError(f"vertex count must be at least 1, got {u}", lineno)
+            if v < 0:
+                raise ParseError(f"arc count must be non-negative, got {v}", lineno)
+            _require_dense_budget(u)
+            n = u
+            continue
         if not (1 <= u <= n) or not (1 <= v <= n):
             raise ParseError(f"vertex index out of range [1, {n}]: ({u}, {v})", lineno)
         codes.append((u - 1) * n + v - 1)

@@ -38,15 +38,17 @@ from itertools import chain
 import numpy as np
 
 from .errors import _check_limit
-from .relation import Arc, Relation, _composition_walks, _low_bits_first, _subset_sums, _walk_count
+from .relation import (
+    Arc, Relation, _composition_walks, _int_objects, _low_bits_first, _subset_sums, _walk_count,
+)
 
 MAX_ONES_VAR_BUDGET = 24
 
 # Largest number of two-arc walks ``encode_mts_to_cnf`` encodes.  The clause
-# lists and the DIMACS text cost about 310 bytes per walk: ``transub encode``
-# on a random loop-free relation with n=250, m=15 700 and 9.86e5 walks peaked
-# at 292 MiB RSS (ru_maxrss from os.wait4, started by fork+exec from a small
-# launcher) and took 2.3-2.8 s (2-vCPU Xeon VM, numpy 2.4.6).
+# lists and the DIMACS text cost about 255 bytes per walk: ``transub encode``
+# on a random loop-free relation with n=250, m=15 700 and 9.84e5 walks peaked
+# at 239 MiB RSS (ru_maxrss from os.wait4, started by fork+exec from a small
+# launcher) and took 2.0-2.1 s (2-vCPU Xeon VM, numpy 2.4.6).
 _WALK_BUDGET = 10**6
 
 
@@ -70,14 +72,16 @@ class Assignment:
 
 
 def encode_mts_to_cnf(r: Relation) -> CnfFormula:
-    _check_limit(_walk_count(r), _WALK_BUDGET, "{} two-arc walks exceeds the encoding budget")
+    walks, m = _walk_count(r), r.m
+    _check_limit(walks, _WALK_BUDGET, "{} two-arc walks exceeds the encoding budget")
+    # Literal k is ``literal[m + k]``: one int object per literal, shared by
+    # every clause, and built only when there is a walk.
+    literal = _int_objects(-m, m + 1) if walks else None
     clauses = []
-    for i1, i2, req in _composition_walks(r):
-        clauses.extend(
-            [need, one, two] if need else [one, two]
-            for need, one, two in zip((req + 1).tolist(), (-1 - i1).tolist(), (-1 - i2).tolist())
-        )
-    return CnfFormula(r.m, clauses, dict(enumerate(r.arcs(), 1)))
+    for i1, i2, req in _composition_walks(r) if walks else ():
+        columns = (literal[m + k].tolist() for k in (req + 1, -1 - i1, -1 - i2))
+        clauses.extend([need, one, two] if need else [one, two] for need, one, two in zip(*columns))
+    return CnfFormula(m, clauses, dict(enumerate(r.arcs(), 1)))
 
 
 def cnf_to_dimacs(f: CnfFormula) -> str:

@@ -14,7 +14,9 @@ from transub import (
     DENSE_VERTEX_BUDGET,
     BudgetError,
     ParseError,
+    PreconditionError,
     Relation,
+    TriangleFoundError,
     cli,
     errors,
     extremal,
@@ -28,6 +30,7 @@ from transub.cli import (
     EXIT_CHECK_FAILED,
     EXIT_OK,
     EXIT_PARSE,
+    EXIT_USAGE,
     EXIT_VERIFY,
     main,
 )
@@ -407,6 +410,46 @@ class TestLimitCheck:
             and getattr(node.exc.func, "id", None) == "BudgetError"
         ]
         assert raisers == []
+
+
+class TestErrorExits:
+    """An error raised by a subcommand leaves one stderr line, the prefix of
+    the first ``cli._ERROR_EXITS`` row whose class it is an instance of and
+    its message, and exits with that row's status."""
+
+    def test_rows_in_match_order(self):
+        assert cli._ERROR_EXITS == (
+            (ParseError, "parse error", EXIT_PARSE),
+            (BudgetError, "budget error", EXIT_BUDGET),
+            (PreconditionError, "precondition error", EXIT_CHECK_FAILED),
+            (ValueError, "error", EXIT_USAGE),
+            (OSError, "i/o error", EXIT_CHECK_FAILED),
+        )
+
+    @pytest.mark.parametrize("error, row, line, status", [
+        (ParseError("bad token", 2), 0, "parse error: line 2: bad token", EXIT_PARSE),
+        (BudgetError("5 arcs exceeds the test limit of 4"), 1,
+         "budget error: 5 arcs exceeds the test limit of 4", EXIT_BUDGET),
+        (PreconditionError("vertex count mismatch: 2 != 3"), 2,
+         "precondition error: vertex count mismatch: 2 != 3", EXIT_CHECK_FAILED),
+        (TriangleFoundError((1, 2, 3)), 2,
+         "precondition error: underlying graph contains triangle (1, 2, 3)", EXIT_CHECK_FAILED),
+        (ValueError("delta must be non-negative"), 3,
+         "error: delta must be non-negative", EXIT_USAGE),
+        (FileNotFoundError(2, "No such file or directory", "gone.rel"), 4,
+         "i/o error: [Errno 2] No such file or directory: 'gone.rel'", EXIT_CHECK_FAILED),
+    ], ids=["parse", "budget", "precondition", "triangle", "value", "os"])
+    def test_subcommand_error_exits_by_its_row(self, error, row, line, status, path_file,
+                                               monkeypatch, capsys):
+        # ``row`` is the first row whose class the error is an instance of.
+        assert cli._ERROR_EXITS[row][1:] == (line.split(":")[0], status)
+
+        def fail(args):
+            raise error
+
+        monkeypatch.setattr(cli, "_load_relation", fail)
+        assert main(["check", "--input", path_file]) == status
+        assert capsys.readouterr() == ("", line + "\n")
 
 
 class TestEncode:

@@ -91,6 +91,14 @@ def test_exit_status_table_lists_every_exit_code():
     assert first_column("### Exit statuses") == [str(code) for code in codes]
 
 
+def test_exit_status_table_names_each_error_row():
+    # The prefix of each ``cli._ERROR_EXITS`` row, such as "parse error",
+    # appears in README's row for that row's exit status.
+    meanings = dict(table_rows("### Exit statuses"))
+    for cls, prefix, status in cli._ERROR_EXITS:
+        assert prefix in meanings[str(status)].lower(), cls.__name__
+
+
 def test_cited_constants_exist():
     assert {"relation._ROUTE_COSTS", "sat._WALK_BUDGET", "DENSE_VERTEX_BUDGET"} <= set(CITED)
     for name in CITED:

@@ -30,6 +30,10 @@ from pathlib import Path
 ROOT = Path(__file__).resolve().parents[1]
 REL = "tests/test_relation.py::"
 MAX = "tests/test_maximum.py::"
+MAXIMAL = "tests/test_maximal.py::"
+EXT = "tests/test_extremal.py::"
+SAT = "tests/test_sat.py::"
+CLI = "tests/test_cli.py::"
 
 
 @dataclass(frozen=True)
@@ -153,6 +157,125 @@ MUTANTS = (
         "    if weighted:\n        keep |= src == dst\n",
         "",
         (MAX + "TestQuarterApprox::test_floor_with_loops_and_two_cycles",),
+    ),
+    Mutant(
+        "quarter-fallback-on-distinct-codes", "maximum.py",
+        "edges if weighted else _distinct(edges)",
+        "_distinct(edges)",
+        (MAX + "TestQuarterApprox::test_floor_with_loops_and_two_cycles",),
+    ),
+    Mutant(
+        "heavier-ties-backward", "maximum.py",
+        "np.count_nonzero(forward) >= np.count_nonzero(backward)",
+        "np.count_nonzero(forward) > np.count_nonzero(backward)",
+        (MAX + "TestQuarterApprox::test_arc_route_all_relations_on_three_vertices",),
+    ),
+    Mutant(
+        "local-search-counts-swapped", "maximum.py",
+        "forward, backward = map(np.count_nonzero,",
+        "backward, forward = map(np.count_nonzero,",
+        (MAX + "TestDicutOnArcs::test_wholesale_swap",),
+    ),
+    # The balance scan of the orientation experiment.
+    Mutant(
+        "balance-limits-one-too-high", "extremal.py",
+        "np.count_nonzero(_balanced(sizes, sizes[:, None], delta), axis=1) - 1",
+        "np.count_nonzero(_balanced(sizes, sizes[:, None], delta), axis=1)",
+        (EXT + "TestKDeltaBalanced::test_balance_scan_matches_verdict_oracle",),
+    ),
+    Mutant(
+        "balance-sizes-over-k", "extremal.py",
+        "np.where(sizes >= k,",
+        "np.where(sizes > k,",
+        (EXT + "TestKDeltaBalanced::test_balance_scan_matches_verdict_oracle",),
+    ),
+    Mutant(
+        "balance-limits-from-forward-twice", "extremal.py",
+        "limits, large = _balance_limits(forward + backward, k, delta)",
+        "limits, large = _balance_limits(forward + forward, k, delta)",
+        (EXT + "TestBalanceExperiment::test_each_trial_matches_the_oracles",),
+    ),
+    Mutant(
+        "balance-count-strict", "extremal.py",
+        "np.abs(forward - backward) <= limits",
+        "np.abs(forward - backward) < limits",
+        (EXT + "TestKDeltaBalanced::test_balance_scan_matches_verdict_oracle",),
+    ),
+    # The clause rule of the CNF layer.
+    Mutant(
+        "clause-masks-keep-tautologies", "sat.py",
+        "if not bits[0] & bits[1]:",
+        "if True:",
+        (SAT + "TestAgainstLiteralOracles::test_max_ones_matches_oracle",),
+    ),
+    Mutant(
+        "satisfies-tests-pos", "sat.py",
+        "mask & (pos | neg) != neg for",
+        "mask & (pos | neg) != pos for",
+        (SAT + "TestAgainstLiteralOracles::test_satisfies_matches_oracle_on_every_assignment",),
+    ),
+    Mutant(
+        "max-ones-tests-pos", "sat.py",
+        "(masks & (pos | neg)) != neg",
+        "(masks & (pos | neg)) != pos",
+        (SAT + "TestAgainstLiteralOracles::test_max_ones_matches_oracle",),
+    ),
+    Mutant(
+        "clause-literal-signs-swapped", "sat.py",
+        "bits[lit < 0]",
+        "bits[lit > 0]",
+        (SAT + "TestAgainstLiteralOracles::test_satisfies_matches_oracle_on_every_assignment",),
+    ),
+    Mutant(
+        "literal-check-refuses-the-last-variable", "sat.py",
+        "np.abs(lits) > f.num_vars",
+        "np.abs(lits) >= f.num_vars",
+        (SAT + "TestMaxOnes::test_path",),
+    ),
+    Mutant(
+        "encoder-literal-signs-swapped", "sat.py",
+        "literal[m + k].tolist()",
+        "literal[m - k].tolist()",
+        (SAT + "TestEncoding::test_path",),
+    ),
+    # Containment and maximality.
+    Mutant(
+        "containment-matrix-test-reversed", "relation.py",
+        "np.any(a.adj > b.adj)",
+        "np.any(a.adj < b.adj)",
+        (REL + "TestSubrelation::test_every_view_matches_arc_set_inclusion",),
+    ),
+    Mutant(
+        "containment-lookup-takes-absent", "relation.py",
+        "_arc_index(b._codes, a._codes) >= 0",
+        "_arc_index(b._codes, a._codes) >= -1",
+        (REL + "TestSubrelation::test_every_view_matches_arc_set_inclusion",),
+    ),
+    Mutant(
+        "maximality-without-fit-test", "maximal.py",
+        "return not any(len(_joining(rows, miss, u)[1]) for u in range(host.n))",
+        "return not any(len(_members(~(np.bitwise_or.reduce(miss[_joining(rows, miss, u)[0]],"
+        " axis=0) | rows[u]), host.n)) for u in range(host.n))",
+        (MAXIMAL + "TestMaximalityOracle::test_matches_subset_enumeration_oracle",),
+    ),
+    # The text boundary: one table from each error to its exit, one token rule.
+    Mutant(
+        "error-table-value-row-first", "cli.py",
+        '    (ParseError, "parse error", EXIT_PARSE),\n'
+        '    (BudgetError, "budget error", EXIT_BUDGET),\n'
+        '    (PreconditionError, "precondition error", EXIT_CHECK_FAILED),\n'
+        '    (ValueError, "error", EXIT_USAGE),\n',
+        '    (ValueError, "error", EXIT_USAGE),\n'
+        '    (ParseError, "parse error", EXIT_PARSE),\n'
+        '    (BudgetError, "budget error", EXIT_BUDGET),\n'
+        '    (PreconditionError, "precondition error", EXIT_CHECK_FAILED),\n',
+        (CLI + "TestErrorExits::test_subcommand_error_exits_by_its_row[parse]",),
+    ),
+    Mutant(
+        "line-rule-kinds-swapped", "relation.py",
+        'kind = "header" if header else "arc line"',
+        'kind = "arc line" if header else "header"',
+        (REL + "TestEdgeListParsing::test_line_loop_messages",),
     ),
 )
 
